@@ -9,9 +9,9 @@ input or usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
-import urllib.request
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -387,6 +387,8 @@ def cmd_identify(args) -> RunReport:
     report.record("url", url)
 
     if args.fetch:
+        import urllib.request  # the only network path; kept out of every other command's start-up
+
         try:
             with urllib.request.urlopen(url, timeout=30) as response:
                 body = response.read().decode("utf-8", errors="replace")
@@ -635,22 +637,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _any_size_int_text():
+    """Lift the interpreter's cap on int-to-text digits, then restore it.
+
+    Exact results such as A_2000 of e_cf2 run past the default 4300 digits.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        report = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormulaFileError, SpecValidationError, TermEvaluationError, SnapshotError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ex.ParseError, ex.EvalError, QueryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report.write(out)
+    with _any_size_int_text():
+        try:
+            report = args.handler(args)
+        except (
+            UsageError, FormulaFileError, SpecValidationError, TermEvaluationError, SnapshotError,
+            ex.ParseError, ex.EvalError, QueryError, ValueError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        report.write(out)
     return report.exit_code
 
 

@@ -22,12 +22,13 @@ can be evaluated on separate threads freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .expr import EvalError, Expr, evaluate, free_vars, render
+from .expr import Compiled, EvalError, Expr, free_vars, render
+from .expr import compile as compile_expr  # not the builtin compile
 from .numeric import decimal_string
 
 #: How many tail indices past the prefix are probed by validate().
@@ -62,7 +63,9 @@ class FormulaSpec:
     """A named generalized continued fraction.
 
     prefix holds exact (a_i, b_i) pairs for i = 1..P; a_tail/b_tail apply for
-    every n > P and may reference the single free variable n.
+    every n > P and may reference the single free variable n.  The three
+    expressions are compiled once, here, and take no part in equality,
+    hashing or repr.
     """
 
     name: str
@@ -70,9 +73,21 @@ class FormulaSpec:
     a_tail: Expr
     b_tail: Expr
     prefix: tuple[TermPair, ...] = ()
+    _b0_at: Compiled = field(init=False, repr=False, compare=False)
+    _a_at: Compiled = field(init=False, repr=False, compare=False)
+    _b_at: Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_b0_at", compile_expr(self.b0))
+        object.__setattr__(self, "_a_at", compile_expr(self.a_tail))
+        object.__setattr__(self, "_b_at", compile_expr(self.b_tail))
+
+    def __reduce__(self):
+        # Pickled by its fields and compiled again on load: closures do not pickle.
+        return (type(self), (self.name, self.b0, self.a_tail, self.b_tail, self.prefix))
 
     def b0_value(self) -> Fraction:
-        return evaluate(self.b0, {})
+        return self._b0_at()
 
     def term(self, n: int) -> TermPair:
         """Exact (a_n, b_n) for n >= 1."""
@@ -80,13 +95,13 @@ class FormulaSpec:
             raise ValueError("terms are indexed from 1")
         if n <= len(self.prefix):
             return self.prefix[n - 1]
-        env = {"n": Fraction(n)}
+        env = {"n": n}
         try:
-            a = evaluate(self.a_tail, env)
+            a = self._a_at(env)
         except EvalError as exc:
             raise TermEvaluationError(n, "a", exc) from exc
         try:
-            b = evaluate(self.b_tail, env)
+            b = self._b_at(env)
         except EvalError as exc:
             raise TermEvaluationError(n, "b", exc) from exc
         return a, b

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 GRAMMAR = """\
 expression     := additive
@@ -291,75 +291,159 @@ def parse(text: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# An expression is compiled once into nested closures.  A closure takes an
+# environment of normalized bindings (int when integral, else Fraction) and
+# returns an exact value: an int as long as every step stays integral, a
+# Fraction once a division is inexact or a power is negative.  The public
+# callable wraps the result in Fraction.  Subexpressions run in a fixed
+# order (a division's denominator first, a power's exponent first, a
+# binomial's top first), so the first failing one decides the EvalError.
+
+Compiled = Callable[[Mapping[str, Rational] | None], Fraction]
+_Closure = Callable[[dict[str, Rational]], Rational]
 
 
-def _as_integer(value: Fraction, what: str) -> int:
+def _as_integer(value: Rational, what: str) -> int:
+    if type(value) is int:
+        return value
     if value.denominator != 1:
         raise EvalError(f"{what} must be an integer, got {value}")
     return value.numerator
+
+
+def _normalized(value) -> Rational:
+    """A binding as the closures expect it: int if integral, else Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def compile(expr: Expr) -> Compiled:
+    """Compile `expr` into a callable `bindings -> Fraction`.
+
+    The callable gives the same value, and raises the same EvalError, as
+    `evaluate(expr, bindings)`.  Compile once per expression and call it
+    per index: the tree is walked here and never again.
+    """
+    run = _compile(expr)
+
+    def compiled(bindings: Mapping[str, Rational] | None = None) -> Fraction:
+        env = {k: _normalized(v) for k, v in bindings.items()} if bindings else {}
+        value = run(env)
+        return value if type(value) is Fraction else Fraction(value)
+
+    return compiled
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, Rational] | None = None) -> Fraction:
     """Exact evaluation; every free variable of `expr` must be bound.
 
     Pure: the same expression and bindings always give the same Fraction.
+    Callers that evaluate one expression many times should `compile` it once.
     """
-    env: dict[str, Fraction] = {
-        k: Fraction(v) for k, v in (bindings or {}).items()
-    }
-    return _eval(expr, env)
+    return compile(expr)(bindings)
 
 
-def _eval(expr: Expr, env: dict[str, Fraction]) -> Fraction:
+def _compile(expr: Expr) -> _Closure:
     match expr:
         case Integer(value=v):
-            return Fraction(v)
+            return lambda env: v
         case Variable(name=name):
-            try:
-                return env[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
+            def variable(env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise EvalError(f"unbound variable {name!r}") from None
+            return variable
         case Negate(child=c):
-            return -_eval(c, env)
+            child = _compile(c)
+            return lambda env: -child(env)
         case Add(left=l, right=r):
-            return _eval(l, env) + _eval(r, env)
+            left, right = _compile(l), _compile(r)
+            return lambda env: left(env) + right(env)
         case Sub(left=l, right=r):
-            return _eval(l, env) - _eval(r, env)
+            left, right = _compile(l), _compile(r)
+            return lambda env: left(env) - right(env)
         case Mul(left=l, right=r):
-            return _eval(l, env) * _eval(r, env)
+            left, right = _compile(l), _compile(r)
+            return lambda env: left(env) * right(env)
         case Div(left=l, right=r):
-            denom = _eval(r, env)
-            if denom == 0:
-                raise EvalError("division by zero")
-            return _eval(l, env) / denom
+            left, right = _compile(l), _compile(r)
+
+            def divide(env):
+                denom = right(env)
+                if not denom:
+                    raise EvalError("division by zero")
+                numer = left(env)
+                if type(numer) is int and type(denom) is int:
+                    quotient, remainder = divmod(numer, denom)
+                    return quotient if not remainder else Fraction(numer, denom)
+                return numer / denom
+            return divide
         case Pow(base=b, exponent=e):
-            exponent = _as_integer(_eval(e, env), "exponent")
-            base = _eval(b, env)
-            if base == 0 and exponent < 0:
-                raise EvalError("negative power of zero")
-            return base**exponent
+            base_of, exponent_of = _compile(b), _compile(e)
+
+            def power(env):
+                exponent = _as_integer(exponent_of(env), "exponent")
+                base = base_of(env)
+                if exponent >= 0:
+                    return base**exponent
+                if not base:
+                    raise EvalError("negative power of zero")
+                return Fraction(base) ** exponent
+            return power
         case Factorial(child=c):
-            v = _as_integer(_eval(c, env), "factorial argument")
-            if v < 0:
-                raise EvalError(f"factorial of negative integer {v}")
-            return Fraction(math.factorial(v))
+            child = _compile(c)
+
+            def factorial(env):
+                v = _as_integer(child(env), "factorial argument")
+                if v < 0:
+                    raise EvalError(f"factorial of negative integer {v}")
+                return math.factorial(v)
+            return factorial
         case Binomial(top=t, bottom=b):
-            top = _as_integer(_eval(t, env), "binomial top argument")
-            if top < 0:
-                raise EvalError(f"binomial top argument must be nonnegative, got {top}")
-            bottom = _as_integer(_eval(b, env), "binomial bottom argument")
-            if bottom < 0 or bottom > top:
-                return Fraction(0)
-            return Fraction(math.comb(top, bottom))
+            top_of, bottom_of = _compile(t), _compile(b)
+
+            def binomial(env):
+                top = _as_integer(top_of(env), "binomial top argument")
+                if top < 0:
+                    raise EvalError(f"binomial top argument must be nonnegative, got {top}")
+                bottom = _as_integer(bottom_of(env), "binomial bottom argument")
+                if bottom < 0 or bottom > top:
+                    return 0
+                return math.comb(top, bottom)
+            return binomial
         case BoundedSum(var=var, lower=lo, upper=hi, body=body):
-            lo_v = _as_integer(_eval(lo, env), "sum lower bound")
-            hi_v = _as_integer(_eval(hi, env), "sum upper bound")
-            total = Fraction(0)
-            inner = dict(env)
-            for i in range(lo_v, hi_v + 1):  # empty when lower > upper
-                inner[var] = Fraction(i)
-                total += _eval(body, inner)
-            return total
+            lower_of, upper_of, term = _compile(lo), _compile(hi), _compile(body)
+
+            def bounded_sum(env):
+                lower = _as_integer(lower_of(env), "sum lower bound")
+                upper = _as_integer(upper_of(env), "sum upper bound")
+                # Integer terms go into `whole`; rational ones into one
+                # unreduced numer/denom pair over the lcm of their
+                # denominators, reduced once at the end.
+                whole, numer, denom = 0, 0, 1
+                inner = dict(env)
+                for i in range(lower, upper + 1):  # empty when lower > upper
+                    inner[var] = i
+                    value = term(inner)
+                    if type(value) is int:
+                        whole += value
+                        continue
+                    n, d = value.numerator, value.denominator
+                    if d == denom:
+                        numer += n
+                    else:
+                        g = math.gcd(denom, d)
+                        numer = numer * (d // g) + n * (denom // g)
+                        denom = denom // g * d
+                if denom == 1:
+                    return whole + numer
+                total = Fraction(whole * denom + numer, denom)
+                return total.numerator if total.denominator == 1 else total
+            return bounded_sum
     raise TypeError(f"not an Expr node: {expr!r}")
 
 

@@ -63,11 +63,11 @@ def substitute(e: ex.Expr, name: str, replacement: ex.Expr) -> ex.Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _scaling_value(c: ex.Expr, n: int) -> Fraction:
+def _scaling_value(c_at: ex.Compiled, n: int) -> Fraction:
     # c_0 = 1 by convention: the leading term b0 is never rescaled.
     if n == 0:
         return Fraction(1)
-    return ex.evaluate(c, {"n": Fraction(n)})
+    return c_at({"n": n})
 
 
 def apply_scaling_expr(spec: FormulaSpec, c: ex.Expr) -> FormulaSpec:
@@ -81,10 +81,11 @@ def apply_scaling_expr(spec: FormulaSpec, c: ex.Expr) -> FormulaSpec:
     extra = ex.free_vars(c) - {"n"}
     if extra:
         raise ScalingError(f"scaling may only use the variable n, found {sorted(extra)}")
+    c_at = ex.compile(c)
     probe_hi = max(SCALING_CHECK_WINDOW, len(spec.prefix) + 1)
     for n in range(1, probe_hi + 1):
         try:
-            value = _scaling_value(c, n)
+            value = _scaling_value(c_at, n)
         except ex.EvalError as exc:
             raise ScalingError(f"scaling undefined at n = {n}: {exc}") from exc
         if value == 0:
@@ -95,8 +96,8 @@ def apply_scaling_expr(spec: FormulaSpec, c: ex.Expr) -> FormulaSpec:
     new_prefix = []
     for i in range(1, prefix_len + 1):
         a_i, b_i = spec.term(i)
-        new_prefix.append((_scaling_value(c, i) * _scaling_value(c, i - 1) * a_i,
-                           _scaling_value(c, i) * b_i))
+        new_prefix.append((_scaling_value(c_at, i) * _scaling_value(c_at, i - 1) * a_i,
+                           _scaling_value(c_at, i) * b_i))
 
     c_shift = substitute(c, "n", ex.Sub(ex.Variable("n"), ex.Integer(1)))
     a_tail = ex.Mul(ex.Mul(c, c_shift), spec.a_tail)

@@ -14,7 +14,7 @@ every checked index -- strong evidence, deliberately reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -36,12 +36,13 @@ class ClosedFormHypothesis:
     """Candidate explicit formula for one recurrence sequence.
 
     `formula` may reference the single free variable n and is asserted from
-    index `valid_from` on.
+    index `valid_from` on.  The formula is compiled once, here.
     """
 
     target: Side
     formula: ex.Expr
     valid_from: int = 0
+    _formula_at: ex.Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.valid_from < 0:
@@ -51,10 +52,15 @@ class ClosedFormHypothesis:
             raise ValueError(
                 f"hypothesis may only use the variable n, found {sorted(extra)}"
             )
+        object.__setattr__(self, "_formula_at", ex.compile(self.formula))
+
+    def __reduce__(self):
+        # Pickled by its fields and compiled again on load: closures do not pickle.
+        return (type(self), (self.target, self.formula, self.valid_from))
 
     def at(self, n: int) -> Fraction:
         try:
-            return ex.evaluate(self.formula, {"n": Fraction(n)})
+            return self._formula_at({"n": n})
         except ex.EvalError as exc:
             raise ex.EvalError(f"evaluating hypothesis at n = {n}: {exc}") from exc
 
@@ -259,12 +265,12 @@ def check_limit_against_target(
 
 # Two spellings of the same combinatorial sum, related by reindexing k to
 # n+1-k.  Both appear as closed-form candidates for the A-sequence of the
-# negative-numerator fixture.
-_SUM_DIRECT = ex.parse("sum(k, 0, n + 1, fact(k + 1) * binom(n + 1, k))")
-_SUM_REINDEXED = ex.parse("sum(k, 0, n + 1, fact(n + 2 - k) * binom(n + 1, n + 1 - k))")
+# negative-numerator fixture.  All four forms are compiled once, at import.
+_SUM_DIRECT = ex.compile(ex.parse("sum(k, 0, n + 1, fact(k + 1) * binom(n + 1, k))"))
+_SUM_REINDEXED = ex.compile(ex.parse("sum(k, 0, n + 1, fact(n + 2 - k) * binom(n + 1, n + 1 - k))"))
 
-_VN_INVERSE_FACTORIAL = ex.parse("sum(k, 0, n + 1, (k + 1) / ((n + 1) * fact(n + 1 - k)))")
-_VN_DIRECT_FACTORIAL = ex.parse("sum(k, 0, n + 1, (n + 2 - k) / ((n + 1) * fact(k)))")
+_VN_INVERSE_FACTORIAL = ex.compile(ex.parse("sum(k, 0, n + 1, (k + 1) / ((n + 1) * fact(n + 1 - k)))"))
+_VN_DIRECT_FACTORIAL = ex.compile(ex.parse("sum(k, 0, n + 1, (n + 2 - k) / ((n + 1) * fact(k)))"))
 
 
 def check_footnote_equivalence(n_max: int = 100) -> bool:
@@ -272,8 +278,8 @@ def check_footnote_equivalence(n_max: int = 100) -> bool:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     for n in range(1, n_max + 1):
-        env = {"n": Fraction(n)}
-        if ex.evaluate(_SUM_DIRECT, env) != ex.evaluate(_SUM_REINDEXED, env):
+        env = {"n": n}
+        if _SUM_DIRECT(env) != _SUM_REINDEXED(env):
             return False
     return True
 
@@ -286,9 +292,9 @@ def vn_simplification_check(n_max: int = 100) -> bool:
 
     spec = load_fixture("e_cf2")
     for conv in convergents(spec, n_max)[1:]:
-        env = {"n": Fraction(conv.n)}
-        s1 = ex.evaluate(_VN_INVERSE_FACTORIAL, env)
-        s2 = ex.evaluate(_VN_DIRECT_FACTORIAL, env)
+        env = {"n": conv.n}
+        s1 = _VN_INVERSE_FACTORIAL(env)
+        s2 = _VN_DIRECT_FACTORIAL(env)
         if conv.value != s1 or conv.value != s2:
             return False
     return True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -86,6 +87,75 @@ def gen_value_safe_expr(rng: random.Random, depth: int) -> ex.Expr:
             return ex.Binomial(small(0, 8), rng.choice((small(0, 8), ex.Variable("k"))))
         case _:
             return ex.BoundedSum("j", small(0, 2), small(0, 5), sub())
+
+
+def oracle_evaluate(expr: ex.Expr, bindings=None) -> Fraction:
+    """The tree-walking evaluator `expr.compile` replaced, kept as its oracle.
+
+    Every intermediate value is a Fraction; the result and each EvalError
+    message must equal the compiled evaluator's.
+    """
+    return _oracle_eval(expr, {k: Fraction(v) for k, v in (bindings or {}).items()})
+
+
+def _oracle_integer(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise ex.EvalError(f"{what} must be an integer, got {value}")
+    return value.numerator
+
+
+def _oracle_eval(expr: ex.Expr, env: dict[str, Fraction]) -> Fraction:
+    go = _oracle_eval
+    match expr:
+        case ex.Integer(value=v):
+            return Fraction(v)
+        case ex.Variable(name=name):
+            try:
+                return env[name]
+            except KeyError:
+                raise ex.EvalError(f"unbound variable {name!r}") from None
+        case ex.Negate(child=c):
+            return -go(c, env)
+        case ex.Add(left=l, right=r):
+            return go(l, env) + go(r, env)
+        case ex.Sub(left=l, right=r):
+            return go(l, env) - go(r, env)
+        case ex.Mul(left=l, right=r):
+            return go(l, env) * go(r, env)
+        case ex.Div(left=l, right=r):
+            denom = go(r, env)
+            if denom == 0:
+                raise ex.EvalError("division by zero")
+            return go(l, env) / denom
+        case ex.Pow(base=b, exponent=e):
+            exponent = _oracle_integer(go(e, env), "exponent")
+            base = go(b, env)
+            if base == 0 and exponent < 0:
+                raise ex.EvalError("negative power of zero")
+            return base**exponent
+        case ex.Factorial(child=c):
+            v = _oracle_integer(go(c, env), "factorial argument")
+            if v < 0:
+                raise ex.EvalError(f"factorial of negative integer {v}")
+            return Fraction(math.factorial(v))
+        case ex.Binomial(top=t, bottom=b):
+            top = _oracle_integer(go(t, env), "binomial top argument")
+            if top < 0:
+                raise ex.EvalError(f"binomial top argument must be nonnegative, got {top}")
+            bottom = _oracle_integer(go(b, env), "binomial bottom argument")
+            if bottom < 0 or bottom > top:
+                return Fraction(0)
+            return Fraction(math.comb(top, bottom))
+        case ex.BoundedSum(var=var, lower=lo, upper=hi, body=body):
+            lo_v = _oracle_integer(go(lo, env), "sum lower bound")
+            hi_v = _oracle_integer(go(hi, env), "sum upper bound")
+            total = Fraction(0)
+            inner = dict(env)
+            for i in range(lo_v, hi_v + 1):
+                inner[var] = Fraction(i)
+                total += go(body, inner)
+            return total
+    raise TypeError(f"not an Expr node: {expr!r}")
 
 
 def _nonzero_fraction(rng: random.Random, lo: int = 1, hi: int = 3) -> Fraction:

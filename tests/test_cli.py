@@ -62,6 +62,27 @@ class TestEval:
         assert result.returncode == 2
 
 
+    def test_results_past_the_int_text_cap_print(self):
+        # A_2000 and B_2000 of e_cf2 run past Python's default 4300-digit
+        # cap on int-to-text conversion; main lifts it and puts it back.
+        import io
+        from math import factorial
+
+        from cfkit.cli import main
+
+        limit = sys.get_int_max_str_digits()
+        out = io.StringIO()
+        assert main(["eval", "e_cf2", "--terms", "2000"], out=out) == 0
+        assert sys.get_int_max_str_digits() == limit
+        text = machine_block(out.getvalue())["B_2000"]
+        assert len(text) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(text) == 2001 * factorial(2001)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestLimit:
     def test_converged_exit_zero(self):
         result = run_cli("limit", "e_cf1t", "--max-terms", "40", "--digits", "15")
@@ -184,6 +205,17 @@ class TestIdentify:
         result = run_cli("identify", "e_cf2", "--side", "A", "--terms", "5", "--snapshot", str(path))
         assert result.returncode == 0
         assert machine_block(result.stdout)["match_1"] == "A999999:0"
+
+
+class TestStartup:
+    def test_network_module_is_not_imported(self):
+        # urllib.request is loaded only by `identify --fetch`
+        probe = "import cfkit.cli; import sys; print('urllib.request' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestSelftest:

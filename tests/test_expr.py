@@ -1,12 +1,15 @@
-"""Lexer, parser, evaluator and renderer of the term DSL."""
+"""Lexer, parser, compiler and renderer of the term DSL."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from cfkit import FormulaSpec, Side
 from cfkit import expr as ex
-from conftest import gen_expr, gen_value_safe_expr
+from cfkit.verify import ClosedFormHypothesis
+from conftest import VAR_NAMES, gen_expr, gen_value_safe_expr, oracle_evaluate
 
 
 class TestParse:
@@ -224,3 +227,109 @@ def test_bounded_sum_matches_naive_loop(rng):
 
 def _int_expr(value: int) -> ex.Expr:
     return ex.Integer(value) if value >= 0 else ex.Negate(ex.Integer(-value))
+
+
+def _outcome(run):
+    """("value", v, type(v)) or ("error", message) for a zero-argument call."""
+    try:
+        value = run()
+    except ex.EvalError as exc:
+        return ("error", str(exc))
+    return ("value", value, type(value))
+
+
+class TestCompile:
+    def test_matches_oracle_on_seeded_corpus(self):
+        rng = random.Random(0x5EED)
+        errors = 0
+        for _ in range(3000):
+            tree = gen_value_safe_expr(rng, rng.randint(0, 5))
+            bindings = {name: rng.randint(-3, 6) for name in VAR_NAMES}
+            got = _outcome(lambda: ex.compile(tree)(bindings))
+            want = _outcome(lambda: oracle_evaluate(tree, bindings))
+            assert got == want, ex.render(tree)
+            assert want[0] == "error" or want[2] is F
+            errors += want[0] == "error"
+        assert 0 < errors < 3000  # both outcomes are exercised
+
+    def test_compiled_callable_is_reusable(self):
+        tree = ex.parse("sum(i, 0, n, i^2) / fact(n)")
+        run = ex.compile(tree)
+        assert [run({"n": n}) for n in range(6)] == [oracle_evaluate(tree, {"n": n}) for n in range(6)]
+
+    def test_fraction_bindings_are_accepted(self):
+        run = ex.compile(ex.parse("2 * n"))
+        assert run({"n": F(3, 4)}) == F(3, 2)
+        assert run({"n": F(6, 2)}) == 6
+
+    def test_inexact_integer_division_falls_back_to_fraction(self):
+        assert ex.compile(ex.parse("7 / n"))({"n": 2}) == F(7, 2)
+        exact = ex.compile(ex.parse("8 / n"))({"n": -2})
+        assert exact == -4 and type(exact) is F
+
+    def test_rational_sum(self):
+        tree = ex.parse("sum(i, 2, 30, (-1)^i / fact(i))")
+        got = ex.compile(tree)()
+        assert got == oracle_evaluate(tree) and type(got) is F
+        # partial sums of the series for 1/e
+        assert abs(got - F(367879441171442, 10**15)) < F(1, 10**15)
+
+    def test_rational_sum_that_reduces_to_an_integer(self):
+        got = ex.compile(ex.parse("sum(i, 1, 4, 1/2)"))()
+        assert got == 2 and type(got) is F
+
+    def test_empty_sum(self):
+        got = ex.compile(ex.parse("sum(i, n, 1, 1/i)"))({"n": 2})
+        assert got == 0 and type(got) is F
+
+    def test_division_evaluates_its_denominator_first(self):
+        with pytest.raises(ex.EvalError, match="^division by zero$"):
+            ex.compile(ex.parse("fact(0 - 1) / (n - n)"))({"n": 4})
+        with pytest.raises(ex.EvalError, match="factorial of negative integer -1"):
+            ex.compile(ex.parse("fact(0 - 1) / n"))({"n": 4})
+
+    def test_power_evaluates_its_exponent_first(self):
+        with pytest.raises(ex.EvalError, match="exponent must be an integer, got 1/2"):
+            ex.compile(ex.parse("fact(0 - 1) ^ (1/2)"))()
+        with pytest.raises(ex.EvalError, match="factorial of negative integer -1"):
+            ex.compile(ex.parse("fact(0 - 1) ^ 2"))()
+
+    def test_unbound_variable_is_reported_when_called(self):
+        run = ex.compile(ex.parse("n + m"))
+        with pytest.raises(ex.EvalError, match="unbound variable 'm'"):
+            run({"n": 1})
+
+    def test_evaluate_is_compile_then_call(self):
+        tree = ex.parse("binom(n, 2) - 1/n")
+        assert ex.evaluate(tree, {"n": 5}) == ex.compile(tree)({"n": 5}) == F(49, 5)
+
+
+class TestCompiledFieldsAreHidden:
+    def test_formula_spec_equality_hash_and_repr(self):
+        def build():
+            return FormulaSpec("s", ex.parse("1"), ex.parse("n"), ex.parse("n + 1"), ((F(2), F(1)),))
+
+        first, second = build(), build()
+        assert first == second
+        assert hash(first) == hash(second)
+        assert repr(first) == (
+            "FormulaSpec(name='s', b0=Integer(value=1), a_tail=Variable(name='n'), "
+            "b_tail=Add(left=Variable(name='n'), right=Integer(value=1)), "
+            "prefix=((Fraction(2, 1), Fraction(1, 1)),))"
+        )
+        assert first != FormulaSpec("s", ex.parse("1"), ex.parse("n"), ex.parse("n + 2"))
+
+    def test_hypothesis_equality_hash_and_repr(self):
+        first = ClosedFormHypothesis(Side.A, ex.parse("n + 2"), 1)
+        second = ClosedFormHypothesis(Side.A, ex.parse("n + 2"), 1)
+        assert first == second and hash(first) == hash(second)
+        assert "_at" not in repr(first)
+        assert first.at(3) == 5
+
+    def test_pickle_round_trip_recompiles(self):
+        spec = FormulaSpec("s", ex.parse("2"), ex.parse("0 - n"), ex.parse("n + 3"), ((F(1, 2), F(1)),))
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.term(4) == spec.term(4) == (F(-4), F(7))
+        hyp = ClosedFormHypothesis(Side.B, ex.parse("fact(n)"), 2)
+        hyp_copy = pickle.loads(pickle.dumps(hyp))
+        assert hyp_copy == hyp and hyp_copy.at(5) == 120
