@@ -108,20 +108,13 @@ def _load_spec(argument: str) -> FormulaSpec:
     """A path to a formula file, or the name of a bundled fixture."""
     path = Path(argument)
     if path.is_file():
-        spec = parse_formula_file(path)
-    else:
-        name = path.name.removesuffix(".cf")
-        if name not in FIXTURE_NAMES:
-            raise UsageError(
-                f"no such formula file {argument!r} "
-                f"(bundled fixtures: {', '.join(FIXTURE_NAMES)})"
-            )
-        spec = load_fixture(name)
-    try:
-        spec.validate()
-    except SpecValidationError as exc:
-        raise UsageError(f"invalid formula {spec.name!r}: {exc}") from exc
-    return spec
+        return parse_formula_file(path)
+    name = path.name.removesuffix(".cf")
+    if name not in FIXTURE_NAMES:
+        raise UsageError(
+            f"no such formula file {argument!r} (bundled fixtures: {', '.join(FIXTURE_NAMES)})"
+        )
+    return load_fixture(name)
 
 
 def _parse_expr_arg(text: str, what: str) -> ex.Expr:

@@ -65,7 +65,7 @@ class FormulaSpec:
     prefix holds exact (a_i, b_i) pairs for i = 1..P; a_tail/b_tail apply for
     every n > P and may reference the single free variable n.  The three
     expressions are compiled once, here, and take no part in equality,
-    hashing or repr.
+    hashing or repr.  Building an invalid spec raises SpecValidationError.
     """
 
     name: str
@@ -81,9 +81,10 @@ class FormulaSpec:
         object.__setattr__(self, "_b0_at", compile_expr(self.b0))
         object.__setattr__(self, "_a_at", compile_expr(self.a_tail))
         object.__setattr__(self, "_b_at", compile_expr(self.b_tail))
+        self.validate()
 
     def __reduce__(self):
-        # Pickled by its fields and compiled again on load: closures do not pickle.
+        # Pickled by its fields, compiled and validated again on load: closures do not pickle.
         return (type(self), (self.name, self.b0, self.a_tail, self.b_tail, self.prefix))
 
     def b0_value(self) -> Fraction:
@@ -116,29 +117,28 @@ class FormulaSpec:
         A zero partial numerator a_n would silently truncate the fraction, so
         prefix entries are checked exactly and the tail is probed for the
         first VALIDATION_WINDOW indices past the prefix.  (Later indices are
-        still guarded during iteration.)
+        still guarded during iteration.)  Run once, by __post_init__.
         """
+        def invalid(reason: str) -> SpecValidationError:
+            return SpecValidationError(f"invalid formula {self.name!r}: {reason}")
+
         if free_vars(self.b0):
-            raise SpecValidationError(
-                f"b0 must be constant, found free variables {sorted(free_vars(self.b0))}"
-            )
+            raise invalid(f"b0 must be constant, found free variables {sorted(free_vars(self.b0))}")
         for label, tail in (("a", self.a_tail), ("b", self.b_tail)):
             extra = free_vars(tail) - {"n"}
             if extra:
-                raise SpecValidationError(
-                    f"{label}(n) may only use the variable n, found {sorted(extra)}"
-                )
+                raise invalid(f"{label}(n) may only use the variable n, found {sorted(extra)}")
         for i, (a, _b) in enumerate(self.prefix, start=1):
             if a == 0:
-                raise SpecValidationError(f"prefix partial numerator a_{i} is zero")
+                raise invalid(f"prefix partial numerator a_{i} is zero")
         start = len(self.prefix) + 1
         for n in range(start, start + VALIDATION_WINDOW):
             try:
                 a, _b = self.term(n)
             except TermEvaluationError as exc:
-                raise SpecValidationError(str(exc)) from exc
+                raise invalid(str(exc)) from exc
             if a == 0:
-                raise SpecValidationError(f"partial numerator a(n) is zero at n = {n}")
+                raise invalid(f"partial numerator a(n) is zero at n = {n}")
 
 
 @dataclass(frozen=True)
@@ -204,17 +204,11 @@ def convergents_from_terms(
     return list(fold_terms(b0_value, terms))
 
 
-def _spec_terms(spec: FormulaSpec, up_to: int) -> Iterator[TermPair]:
-    for n in range(1, up_to + 1):
-        yield spec.term(n)
-
-
 def convergents(spec: FormulaSpec, up_to: int) -> list[Convergent]:
     """Exact convergents of indices 0..up_to (one recurrence step each)."""
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    spec.validate()
-    return list(fold_terms(spec.b0_value(), _spec_terms(spec, up_to)))
+    return list(fold_terms(spec.b0_value(), map(spec.term, range(1, up_to + 1))))
 
 
 def nested_eval_oracle(spec: FormulaSpec, depth: int) -> Fraction | None:
@@ -227,7 +221,6 @@ def nested_eval_oracle(spec: FormulaSpec, depth: int) -> Fraction | None:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    spec.validate()
     if depth == 0:
         return spec.b0_value()
     pairs = spec.terms(depth)
@@ -255,7 +248,6 @@ def estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEs
         raise ValueError("max_n must be >= 3")
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    spec.validate()
     threshold = Fraction(1, 10 ** (target_digits + 2))
 
     gaps: list[Fraction | None] = []
@@ -265,7 +257,7 @@ def estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEs
     last_index = 0
     consecutive = 0
 
-    for conv in fold_terms(spec.b0_value(), _spec_terms(spec, max_n)):
+    for conv in fold_terms(spec.b0_value(), map(spec.term, range(1, max_n + 1))):
         last_index = conv.n
         if conv.B == 0:
             zero_b_indices.append(conv.n)

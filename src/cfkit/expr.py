@@ -18,9 +18,9 @@ and evaluated concurrently from any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 GRAMMAR = """\
 expression     := additive
@@ -450,21 +450,11 @@ def _compile(expr: Expr) -> _Closure:
 def free_vars(expr: Expr) -> frozenset[str]:
     """Free variables; a BoundedSum's variable is bound in its body only."""
     match expr:
-        case Integer():
-            return frozenset()
         case Variable(name=name):
             return frozenset((name,))
-        case Negate(child=c) | Factorial(child=c):
-            return free_vars(c)
-        case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-            return free_vars(l) | free_vars(r)
-        case Pow(base=b, exponent=e):
-            return free_vars(b) | free_vars(e)
-        case Binomial(top=t, bottom=b):
-            return free_vars(t) | free_vars(b)
         case BoundedSum(var=var, lower=lo, upper=hi, body=body):
             return free_vars(lo) | free_vars(hi) | (free_vars(body) - {var})
-    raise TypeError(f"not an Expr node: {expr!r}")
+    return frozenset().union(*map(free_vars, children(expr)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,22 +518,25 @@ def _render_node(expr: Expr) -> str:
     raise TypeError(f"not an Expr node: {expr!r}")
 
 
+def _child_fields(node: Expr) -> list[str]:
+    # Every node is a dataclass; its subexpressions are the fields typed Expr.
+    return [f.name for f in fields(node) if f.type == "Expr"]
+
+
+def children(node: Expr) -> tuple[Expr, ...]:
+    """Direct subexpressions in field order (a sum: lower, upper, body)."""
+    if not isinstance(node, Expr):
+        raise TypeError(f"not an Expr node: {node!r}")
+    return tuple(getattr(node, name) for name in _child_fields(node))
+
+
+def rebuild(node: Expr, kids: Iterable[Expr]) -> Expr:
+    """`node` with its subexpressions replaced by `kids`; inverse of `children`."""
+    return replace(node, **dict(zip(_child_fields(node), kids, strict=True)))
+
+
 def walk(expr: Expr) -> Iterator[Expr]:
-    """Yield every node of the tree, parents before children."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        yield node
-        match node:
-            case Negate(child=c) | Factorial(child=c):
-                stack.append(c)
-            case Add(left=l, right=r) | Sub(left=l, right=r) | Mul(left=l, right=r) | Div(left=l, right=r):
-                stack.extend((r, l))
-            case Pow(base=b, exponent=e):
-                stack.extend((e, b))
-            case Binomial(top=t, bottom=b):
-                stack.extend((b, t))
-            case BoundedSum(lower=lo, upper=hi, body=body):
-                stack.extend((body, hi, lo))
-            case _:
-                pass
+    """Yield every node of the tree in preorder, children left to right."""
+    yield expr
+    for kid in children(expr):
+        yield from walk(kid)

@@ -35,32 +35,13 @@ def substitute(e: ex.Expr, name: str, replacement: ex.Expr) -> ex.Expr:
     evaluated in the enclosing scope and are always rewritten).
     """
     match e:
-        case ex.Integer():
-            return e
         case ex.Variable(name=n):
             return replacement if n == name else e
-        case ex.Negate(child=c):
-            return ex.Negate(substitute(c, name, replacement))
-        case ex.Add(left=l, right=r):
-            return ex.Add(substitute(l, name, replacement), substitute(r, name, replacement))
-        case ex.Sub(left=l, right=r):
-            return ex.Sub(substitute(l, name, replacement), substitute(r, name, replacement))
-        case ex.Mul(left=l, right=r):
-            return ex.Mul(substitute(l, name, replacement), substitute(r, name, replacement))
-        case ex.Div(left=l, right=r):
-            return ex.Div(substitute(l, name, replacement), substitute(r, name, replacement))
-        case ex.Pow(base=b, exponent=p):
-            return ex.Pow(substitute(b, name, replacement), substitute(p, name, replacement))
-        case ex.Factorial(child=c):
-            return ex.Factorial(substitute(c, name, replacement))
-        case ex.Binomial(top=t, bottom=b):
-            return ex.Binomial(substitute(t, name, replacement), substitute(b, name, replacement))
-        case ex.BoundedSum(var=v, lower=lo, upper=hi, body=body):
-            new_body = body if v == name else substitute(body, name, replacement)
+        case ex.BoundedSum(var=v, lower=lo, upper=hi, body=body) if v == name:
             return ex.BoundedSum(
-                v, substitute(lo, name, replacement), substitute(hi, name, replacement), new_body
+                v, substitute(lo, name, replacement), substitute(hi, name, replacement), body
             )
-    raise TypeError(f"not an Expr node: {e!r}")
+    return ex.rebuild(e, [substitute(kid, name, replacement) for kid in ex.children(e)])
 
 
 def _scaling_value(c_at: ex.Compiled, n: int) -> Fraction:
@@ -91,7 +72,6 @@ def apply_scaling_expr(spec: FormulaSpec, c: ex.Expr) -> FormulaSpec:
         if value == 0:
             raise ScalingError(f"scaling evaluates to zero at n = {n}")
 
-    spec.validate()
     prefix_len = max(1, len(spec.prefix))
     new_prefix = []
     for i in range(1, prefix_len + 1):

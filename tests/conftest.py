@@ -212,42 +212,19 @@ def gen_mixed_spec(rng: random.Random) -> FormulaSpec:
 def replace_integer_node(expr: ex.Expr, index: int, new_value: int) -> ex.Expr:
     """Rebuild the tree with the index-th Integer leaf (preorder) replaced.
 
-    Negative replacements become Negate(Integer(-v)) so the tree stays valid.
+    Leaves are numbered in the order `ex.walk` yields them.  Negative
+    replacements become Negate(Integer(-v)) so the tree stays valid.
     """
-    counter = {"seen": 0}
-
-    def make(value: int) -> ex.Expr:
-        return ex.Integer(value) if value >= 0 else ex.Negate(ex.Integer(-value))
+    seen = 0
 
     def go(e: ex.Expr) -> ex.Expr:
-        match e:
-            case ex.Integer():
-                if counter["seen"] == index:
-                    counter["seen"] += 1
-                    return make(new_value)
-                counter["seen"] += 1
+        nonlocal seen
+        if isinstance(e, ex.Integer):
+            seen += 1
+            if seen - 1 != index:
                 return e
-            case ex.Variable():
-                return e
-            case ex.Negate(child=c):
-                return ex.Negate(go(c))
-            case ex.Add(left=l, right=r):
-                return ex.Add(go(l), go(r))
-            case ex.Sub(left=l, right=r):
-                return ex.Sub(go(l), go(r))
-            case ex.Mul(left=l, right=r):
-                return ex.Mul(go(l), go(r))
-            case ex.Div(left=l, right=r):
-                return ex.Div(go(l), go(r))
-            case ex.Pow(base=b, exponent=p):
-                return ex.Pow(go(b), go(p))
-            case ex.Factorial(child=c):
-                return ex.Factorial(go(c))
-            case ex.Binomial(top=t, bottom=b):
-                return ex.Binomial(go(t), go(b))
-            case ex.BoundedSum(var=v, lower=lo, upper=hi, body=body):
-                return ex.BoundedSum(v, go(lo), go(hi), go(body))
-        raise TypeError(f"not an Expr node: {e!r}")
+            return ex.Integer(new_value) if new_value >= 0 else ex.Negate(ex.Integer(-new_value))
+        return ex.rebuild(e, [go(kid) for kid in ex.children(e)])
 
     return go(expr)
 

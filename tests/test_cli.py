@@ -53,6 +53,13 @@ class TestEval:
         assert result.returncode == 2
         assert "'a'" in result.stderr
 
+    def test_invalid_formula_is_usage_error_naming_it(self, tmp_path):
+        path = tmp_path / "x.cf"
+        path.write_text('name = "x"\nb0 = "1"\na = "n - 3"\nb = "1"\n')
+        result = run_cli("eval", str(path))
+        assert result.returncode == 2
+        assert "'x'" in result.stderr and "n = 3" in result.stderr
+
     def test_unknown_file_is_usage_error(self):
         result = run_cli("eval", "no_such_file.cf")
         assert result.returncode == 2

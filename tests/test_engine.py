@@ -6,10 +6,14 @@ from fractions import Fraction as F
 import pytest
 
 from cfkit import (
+    ClosedFormHypothesis,
     FormulaSpec,
     LimitVerdict,
+    Side,
     SpecValidationError,
     TermEvaluationError,
+    apply_scaling_expr,
+    check_closed_form,
     convergents,
     convergents_from_terms,
     estimate_limit,
@@ -78,33 +82,26 @@ class TestConvergents:
         assert err.value.index == 150
 
     def test_validation_rejects_zero_tail_numerator(self):
-        spec = FormulaSpec("zero_a", parse("1"), parse("n - 3"), parse("1"))
         with pytest.raises(SpecValidationError, match="n = 3"):
-            convergents(spec, 10)
+            FormulaSpec("zero_a", parse("1"), parse("n - 3"), parse("1"))
 
     def test_validation_rejects_zero_prefix_numerator(self):
-        spec = FormulaSpec("zero_p", parse("1"), parse("n"), parse("1"), prefix=((F(0), F(1)),))
         with pytest.raises(SpecValidationError, match="a_1"):
-            convergents(spec, 5)
+            FormulaSpec("zero_p", parse("1"), parse("n"), parse("1"), prefix=((F(0), F(1)),))
 
     def test_validation_rejects_unexpected_variables(self):
-        spec = FormulaSpec("loose", parse("1"), parse("n + m"), parse("1"))
         with pytest.raises(SpecValidationError, match="m"):
-            convergents(spec, 5)
+            FormulaSpec("loose", parse("1"), parse("n + m"), parse("1"))
 
     def test_validation_rejects_non_constant_b0(self):
-        spec = FormulaSpec("freeb0", parse("n"), parse("n"), parse("1"))
         with pytest.raises(SpecValidationError, match="b0"):
-            convergents(spec, 5)
+            FormulaSpec("freeb0", parse("n"), parse("n"), parse("1"))
 
     def test_exactly_one_term_evaluation_per_index(self, cf2):
         class CountingSpec:
             def __init__(self, inner):
                 self.inner = inner
                 self.calls = 0
-
-            def validate(self):
-                self.inner.validate()
 
             def b0_value(self):
                 return self.inner.b0_value()
@@ -116,6 +113,33 @@ class TestConvergents:
         counting = CountingSpec(cf2)
         convergents(counting, 30)
         assert counting.calls == 30
+
+
+class TestValidateOnce:
+    def test_operations_do_not_revalidate(self, monkeypatch):
+        calls = []
+        original = FormulaSpec.validate
+
+        def counting_validate(self):
+            calls.append(self.name)
+            original(self)
+
+        monkeypatch.setattr(FormulaSpec, "validate", counting_validate)
+        spec = load_fixture("e_cf2")
+        assert calls == ["e_cf2"]
+        convergents(spec, 10)
+        estimate_limit(spec, 40, 10)
+        nested_eval_oracle(spec, 10)
+        hyp = ClosedFormHypothesis(Side.B, parse("(n + 1) * fact(n + 1)"), 1)
+        assert check_closed_form(spec, hyp, 20).ok()
+        assert calls == ["e_cf2"]
+        scaled = apply_scaling_expr(spec, parse("n + 1"))
+        assert calls == ["e_cf2", scaled.name]
+
+    def test_error_names_the_formula(self):
+        with pytest.raises(SpecValidationError) as err:
+            FormulaSpec("x", parse("1"), parse("n - 3"), parse("1"))
+        assert str(err.value) == "invalid formula 'x': partial numerator a(n) is zero at n = 3"
 
 
 class TestRecurrenceIdentities:

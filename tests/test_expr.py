@@ -8,6 +8,7 @@ import pytest
 
 from cfkit import FormulaSpec, Side
 from cfkit import expr as ex
+from cfkit.transform import substitute
 from cfkit.verify import ClosedFormHypothesis
 from conftest import VAR_NAMES, gen_expr, gen_value_safe_expr, oracle_evaluate
 
@@ -205,6 +206,46 @@ class TestFreeVars:
 
     def test_closed_expression(self):
         assert ex.free_vars(ex.parse("fact(3) + binom(4, 2)")) == frozenset()
+
+
+class TestTraversal:
+    def test_walk_is_preorder_left_to_right(self):
+        tree = ex.parse("sum(k, 0, n, k * 2) - fact(3)")
+        assert [ex.render(node) for node in ex.walk(tree)] == [
+            "sum(k, 0, n, k * 2) - fact(3)",
+            "sum(k, 0, n, k * 2)", "0", "n", "k * 2", "k", "2",
+            "fact(3)", "3",
+        ]
+
+    def test_rebuild_inverts_children(self):
+        rng = random.Random(0x7EE)
+        for _ in range(600):
+            for node in ex.walk(gen_expr(rng, rng.randint(0, 6))):
+                assert ex.rebuild(node, ex.children(node)) == node
+
+    def test_substitute_is_a_shift_of_the_binding(self):
+        rng = random.Random(0x5B57)
+        shift = ex.parse("t + 1")
+        assert "t" not in VAR_NAMES
+        compared = 0
+        for _ in range(1000):
+            tree = gen_value_safe_expr(rng, rng.randint(0, 5))
+            others = {name: rng.randint(-3, 6) for name in VAR_NAMES if name != "n"}
+            k = rng.randint(-3, 6)
+            got = _outcome(lambda: ex.compile(substitute(tree, "n", shift))({**others, "t": k}))
+            want = _outcome(lambda: ex.compile(tree)({**others, "n": k + 1}))
+            assert got == want, ex.render(tree)
+            compared += want[0] == "value"
+        assert compared > 500
+
+    @pytest.mark.parametrize("call", [
+        ex.children, ex.free_vars, ex.compile, ex.render,
+        lambda e: list(ex.walk(e)),
+        lambda e: substitute(e, "n", ex.Integer(1)),
+    ])
+    def test_non_expr_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="not an Expr node"):
+            call(3)
 
 
 def test_bounded_sum_matches_naive_loop(rng):

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from cfkit import FormulaFileError, load_fixture, parse_formula_text, render_formula_text
+from cfkit import (
+    FormulaFileError,
+    SpecValidationError,
+    load_fixture,
+    parse_formula_text,
+    render_formula_text,
+)
 from cfkit import expr as ex
 
 GOOD = '''
@@ -57,6 +63,10 @@ class TestParse:
     def test_prefix_needs_two_entries(self):
         with pytest.raises(FormulaFileError, match="a_i, b_i"):
             parse_formula_text('name = "x"\nb0 = "1"\nprefix = "1"\na = "n"\nb = "1"\n')
+
+    def test_zero_numerator_is_rejected_on_load(self):
+        with pytest.raises(SpecValidationError, match="'x'.*n = 3"):
+            parse_formula_text('name = "x"\nb0 = "1"\na = "n - 3"\nb = "1"\n')
 
 
 class TestRender:
