@@ -9,6 +9,7 @@ small Möbius combinations a discovered limit is usually one of.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,13 +69,15 @@ class Interval:
         return Interval(min(quotients), max(quotients))
 
 
+@functools.lru_cache(maxsize=64)
 def e_high_precision(digits: int) -> Interval:
     """Certified enclosure of e with width below 10^-(digits + 2).
 
     Uses the partial sum S_m of the reciprocal-factorial series with the
     elementary tail bound 0 < e - S_m < 2/(m+1)!, taking the smallest m that
     pushes the bound under the target.  Enclosures nest: more digits always
-    give a sub-interval.
+    give a sub-interval.  Results are cached by `digits` (an Interval is
+    immutable, so every caller may share one).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -153,32 +156,57 @@ def mobius_value(c: ConstantExpr, e_interval: Interval) -> Interval:
     return numerator / denominator
 
 
+#: Largest accepted `max_coeff`.  The cost grows with the matches as well as
+#: with K^3: at this limit a narrow interval takes about 50 ms, the widest
+#: `cfkit recognize --value` input (halfwidth 1/2 around 0) about a second,
+#: and an interval that all 21^4 candidates meet a few seconds.
+MAX_COEFF_LIMIT = 10
+
+
 def recognize(value: Interval, max_coeff: int = 5, e_digits: int = 30) -> list[ConstantExpr]:
     """All Möbius-of-e constants with |coefficients| <= max_coeff that the
     input interval could equal, simplest first.
 
-    Brute-force enumeration over (2K+1)^4 coefficient tuples; a candidate
-    survives when its certified enclosure intersects `value`.  Candidates
-    whose denominator interval cannot be separated from zero are skipped
-    (they cannot be certified at this precision).  Results are deduplicated
-    by the ConstantExpr normalization and ranked by L1 coefficient norm,
-    then lexicographically.
+    For each denominator (r, s) and each p, the q whose certified enclosure
+    can meet `value` form one integer range, solved exactly (below), so the
+    cost is O(K^3) plus the matches instead of (2K+1)^4 tuples.  Every q in
+    the range is confirmed by the certified test: the candidate survives
+    when its enclosure intersects `value`.  Candidates whose denominator
+    interval cannot be separated from zero are skipped (they cannot be
+    certified at this precision).  Results are deduplicated by the
+    ConstantExpr normalization and ranked by L1 coefficient norm, then
+    lexicographically.  `max_coeff` must lie in [1, MAX_COEFF_LIMIT].
     """
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
+    if max_coeff > MAX_COEFF_LIMIT:
+        raise ValueError(f"max_coeff must be <= {MAX_COEFF_LIMIT}, got {max_coeff}")
     e_int = e_high_precision(e_digits)
+    lo, hi = value.lower, value.upper
     span = range(-max_coeff, max_coeff + 1)
-    numerators = [(p, q, e_int.scale_add(p, q)) for p, q in product(span, repeat=2)]
+    # p*e lies in [c_lo, c_hi], so the numerator p*e + q lies in [c_lo + q, c_hi + q]
+    scaled_e = [(p, *sorted((p * e_int.lower, p * e_int.upper))) for p in span]
     seen: set[ConstantExpr] = set()
     for r, s in product(span, repeat=2):
         if (r, s) == (0, 0):
             continue
         denominator = e_int.scale_add(r, s)
-        if denominator.lower <= 0 <= denominator.upper:
+        d1, d2 = denominator.lower, denominator.upper
+        if d1 <= 0 <= d2:
             continue
-        for p, q, numerator in numerators:
-            if (numerator / denominator).intersects(value):
-                seen.add(ConstantExpr(p, q, r, s))
+        # The quotient is monotone in the numerator, so the hull of the four
+        # corner quotients meets [lo, hi] exactly when the numerator meets
+        # [num_low, num_high], that is when num_low - c_hi <= q <= num_high - c_lo.
+        if d1 > 0:
+            num_low, num_high = min(lo * d1, lo * d2), max(hi * d1, hi * d2)
+        else:
+            num_low, num_high = min(hi * d1, hi * d2), max(lo * d1, lo * d2)
+        for p, c_lo, c_hi in scaled_e:
+            first = max(-max_coeff, math.ceil(num_low - c_hi))
+            last = min(max_coeff, math.floor(num_high - c_lo))
+            for q in range(first, last + 1):
+                if (e_int.scale_add(p, q) / denominator).intersects(value):
+                    seen.add(ConstantExpr(p, q, r, s))
     return sorted(seen, key=lambda c: (c.l1_norm, (c.p, c.q, c.r, c.s)))
 
 

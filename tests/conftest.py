@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from cfkit import FormulaSpec
+from cfkit import ConstantExpr, FormulaSpec, Interval
 from cfkit import expr as ex
+
+# The module, not the function the package re-exports under the same name:
+# the oracle reads e_high_precision from it at call time, as recognize does.
+recognize_module = importlib.import_module("cfkit.recognize")
 
 VAR_NAMES = ("n", "k", "i", "m", "x")
 
@@ -156,6 +163,40 @@ def _oracle_eval(expr: ex.Expr, env: dict[str, Fraction]) -> Fraction:
                 total += go(body, inner)
             return total
     raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def oracle_recognize(value: Interval, max_coeff: int = 5, e_digits: int = 30) -> list[ConstantExpr]:
+    """The (2K+1)^4 brute force `recognize` replaced, kept as its oracle.
+
+    Every (p, q, r, s) whose denominator enclosure excludes zero is kept
+    when its certified quotient enclosure meets `value`.  The enclosures
+    depend only on K and e's enclosure, so each pair computes them once.
+    """
+    if max_coeff < 1:
+        raise ValueError("max_coeff must be >= 1")
+    e_int = recognize_module.e_high_precision(e_digits)
+    seen = {
+        ConstantExpr(*coeffs)
+        for coeffs, quotient in _oracle_quotients(max_coeff, e_int)
+        if quotient.intersects(value)
+    }
+    return sorted(seen, key=lambda c: (c.l1_norm, (c.p, c.q, c.r, c.s)))
+
+
+@functools.lru_cache(maxsize=32)
+def _oracle_quotients(max_coeff: int, e_int: Interval) -> list[tuple[tuple[int, ...], Interval]]:
+    span = range(-max_coeff, max_coeff + 1)
+    numerators = [(p, q, e_int.scale_add(p, q)) for p, q in product(span, repeat=2)]
+    quotients = []
+    for r, s in product(span, repeat=2):
+        if (r, s) == (0, 0):
+            continue
+        denominator = e_int.scale_add(r, s)
+        if denominator.lower <= 0 <= denominator.upper:
+            continue
+        for p, q, numerator in numerators:
+            quotients.append(((p, q, r, s), numerator / denominator))
+    return quotients
 
 
 def _nonzero_fraction(rng: random.Random, lo: int = 1, hi: int = 3) -> Fraction:

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from cfkit.recognize import MAX_COEFF_LIMIT
+
 BAD_FILE = 'name = "broken"\nb0 = "1"\nb = "1"\n'  # missing the "a" key
 
 
@@ -181,6 +183,12 @@ class TestRecognize:
     def test_bad_value_is_usage_error(self):
         result = run_cli("recognize", "--value", "2.718e0")
         assert result.returncode == 2
+
+    def test_max_coeff_above_the_limit_is_usage_error(self):
+        # fails fast instead of enumerating (2*100000 + 1)^3 candidates
+        result = run_cli("recognize", "--value", "2.7", "--max-coeff", "100000", timeout=30)
+        assert result.returncode == 2
+        assert f"max_coeff must be <= {MAX_COEFF_LIMIT}" in result.stderr
 
 
 class TestIdentify:

@@ -1,6 +1,7 @@
 """Certified e, interval Möbius arithmetic, recognition, reconstruction."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,8 @@ from cfkit import (
     rational_reconstruct,
     recognize,
 )
+from cfkit.recognize import MAX_COEFF_LIMIT
+from conftest import oracle_recognize, recognize_module
 
 # Partial sum of the reciprocal-factorial series through 1/35!: within 2/36!
 # (about 1e-41) of the true value, an independent anchor for spot checks.
@@ -50,8 +53,34 @@ class TestEHighPrecision:
             assert wide.encloses(e_high_precision(digits))
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
-            e_high_precision(0)
+        for digits in (0, -1, 0):  # raised on every call, never cached
+            with pytest.raises(ValueError, match="digits must be >= 1"):
+                e_high_precision(digits)
+
+    def test_cached_enclosures_equal_computed_ones(self):
+        e_high_precision.cache_clear()
+        for digits in range(1, 41):
+            computed = e_high_precision.__wrapped__(digits)
+            assert e_high_precision(digits) == computed  # computed and cached
+            assert e_high_precision(digits) == computed  # read from the cache
+
+    def test_second_call_does_not_recompute(self, monkeypatch):
+        e_high_precision.cache_clear()
+        factorials = 0
+        factorial = math.factorial
+
+        def counting(n):
+            nonlocal factorials
+            factorials += 1
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", counting)
+        first = e_high_precision(25)
+        assert factorials > 0
+        factorials = 0
+        assert e_high_precision(25) is first
+        assert factorials == 0
+        assert e_high_precision.cache_info().hits == 1
 
 
 class TestConstantExpr:
@@ -141,6 +170,123 @@ class TestRecognize:
     def test_precondition(self):
         with pytest.raises(ValueError):
             recognize(Interval.point(F(1)), max_coeff=0)
+
+
+E_DIGITS = (1, 2, 5, 18, 24, 30)
+
+
+def random_constant(rng: random.Random, bound: int, e_int: Interval) -> ConstantExpr:
+    """A seeded (p, q, r, s) within `bound` whose denominator is certified."""
+    span = range(-bound, bound + 1)
+    while True:
+        p, q, r, s = (rng.choice(span) for _ in range(4))
+        if (r, s) == (0, 0):
+            continue
+        denominator = e_int.scale_add(r, s)
+        if not denominator.lower <= 0 <= denominator.upper:
+            return ConstantExpr(p, q, r, s)
+
+
+def random_interval(rng: random.Random, kind: str, bound: int) -> Interval:
+    if kind in ("enclosure", "decimal"):
+        e_int = e_high_precision(rng.randint(5, 40))
+        value = mobius_value(random_constant(rng, bound, e_int), e_int)
+        if kind == "enclosure":
+            return value if rng.random() < 0.5 else Interval.around(value.lower, F(1, 10 ** rng.randint(3, 20)))
+        # the constant rounded to `digits` places, plus or minus half a unit
+        digits = rng.randint(2, 15)
+        center = F(round(value.lower * 10**digits), 10**digits)
+        return Interval.around(center, F(1, 2 * 10**digits))
+    if kind == "point":
+        return Interval.point(F(rng.randint(-12, 12), rng.randint(1, 6)))
+    if kind == "wide":
+        lower = F(rng.randint(-40, 40), 8)
+        return Interval(lower, lower + F(rng.randint(1, 4), 8))
+    if kind == "negative":
+        upper = -F(rng.randint(1, 400), 100)
+        return Interval(upper - F(rng.randint(0, 50), 100), upper)
+    assert kind == "through_zero"
+    return Interval(-F(rng.randint(0, 100), 1000), F(rng.randint(0, 100), 1000))
+
+
+class TestRangeSolving:
+    """The range-solved `recognize` against the brute-force oracle."""
+
+    KINDS = ("enclosure", "decimal", "point", "wide", "negative", "through_zero")
+
+    def test_equals_brute_force_on_seeded_intervals(self):
+        rng = random.Random(20190913)
+        for case in range(2100):
+            kind = self.KINDS[case % len(self.KINDS)]
+            max_coeff = rng.randint(1, 4)
+            e_digits = rng.choice(E_DIGITS)
+            value = random_interval(rng, kind, max_coeff + 1)
+            got = recognize(value, max_coeff=max_coeff, e_digits=e_digits)
+            want = oracle_recognize(value, max_coeff=max_coeff, e_digits=e_digits)
+            assert got == want, (kind, value, max_coeff, e_digits)  # same (p, q, r, s), same order
+
+    @pytest.mark.parametrize("e_int", [Interval(F(5, 2), F(3)), Interval(F(27, 10), F(11, 4))])
+    def test_straddling_denominators_skipped_like_brute_force(self, monkeypatch, e_int):
+        # Coarse enclosures of e make r*e + s straddle 0 whenever -s/r lies in
+        # them, for example (1, -3), (2, -5) and (4, -11) in [5/2, 3], and
+        # (4, -11) in [27/10, 11/4].  (At K <= 4 the real enclosures never
+        # do.)  Both sides must skip exactly those denominators.
+        monkeypatch.setattr(recognize_module, "e_high_precision", lambda digits: e_int)
+        rng = random.Random(7)
+        for case in range(120):
+            kind = self.KINDS[case % len(self.KINDS)]
+            max_coeff = rng.randint(1, 4)
+            value = random_interval(rng, kind, max_coeff + 1)
+            assert recognize(value, max_coeff=max_coeff) == oracle_recognize(value, max_coeff=max_coeff)
+
+    # Candidates with a positive and a negative denominator, point and not
+    @pytest.mark.parametrize(
+        "planted",
+        [(2, 1, 1, 3), (2, 1, -1, -3), (1, 0, -1, 2), (0, 1, 1, -3), (3, -1, 2, 1), (1, -2, 0, 1), (0, 3, 0, -1)],
+    )
+    def test_boundary_touching_a_corner_is_found(self, planted):
+        # An interval that touches the candidate's enclosure in one exact
+        # point puts an integer bound of the q range right on q, so an
+        # off-by-one in its ceil or floor drops the candidate.
+        candidate = ConstantExpr(*planted)
+        max_coeff = max(map(abs, planted))
+        for e_digits in (1, 5, 18, 30):
+            enclosure = mobius_value(candidate, e_high_precision(e_digits))
+            tiny = F(1, 10**30)
+            for value in (
+                Interval(enclosure.lower - tiny, enclosure.lower),
+                Interval.point(enclosure.lower),
+                Interval(enclosure.upper, enclosure.upper + tiny),
+                Interval.point(enclosure.upper),
+            ):
+                matches = recognize(value, max_coeff=max_coeff, e_digits=e_digits)
+                assert candidate in matches, (value, e_digits)
+                assert matches == oracle_recognize(value, max_coeff=max_coeff, e_digits=e_digits)
+
+    def test_divisions_grow_as_k_cubed(self, monkeypatch):
+        # Each certified quotient is one Interval division; the range solving
+        # must try at most one q per (p, r, s) here, the brute force tried
+        # every (p, q, r, s).
+        max_coeff = 6
+        planted = ConstantExpr(2, 1, 1, 3)
+        value = Interval.around(mobius_value(planted, e_high_precision(40)).lower, F(1, 10**25))
+        divisions = 0
+        true_divide = Interval.__truediv__
+
+        def counting(self, other):
+            nonlocal divisions
+            divisions += 1
+            return true_divide(self, other)
+
+        monkeypatch.setattr(Interval, "__truediv__", counting)
+        assert recognize(value, max_coeff=max_coeff) == [planted]
+        assert 0 < divisions <= (2 * max_coeff + 1) ** 3
+
+    def test_max_coeff_limit(self):
+        value = Interval(F(53, 20), F(11, 4))
+        assert recognize(value, max_coeff=MAX_COEFF_LIMIT)
+        with pytest.raises(ValueError, match=f"max_coeff must be <= {MAX_COEFF_LIMIT}"):
+            recognize(value, max_coeff=MAX_COEFF_LIMIT + 1)
 
 
 class TestRationalReconstruct:
