@@ -194,21 +194,15 @@ def cmd_verify(args) -> RunReport:
         jobs.append((Side.B, "closed_b", args.closed_b))
     for side, key, text in jobs:
         formula = _parse_expr_arg(text, f"--{key.replace('_', '-')} expression")
-        try:
-            hyp = ClosedFormHypothesis(side, formula, args.valid_from)
-            result = check_closed_form(spec, hyp, args.n_max)
-        except (ValueError, TermEvaluationError) as exc:
-            raise UsageError(str(exc)) from exc
+        hyp = ClosedFormHypothesis(side, formula, args.valid_from)
+        result = check_closed_form(spec, hyp, args.n_max)
         report.say()
         report.say(result.human_text())
         report.machine.extend(result.machine_items(prefix=f"{key}_"))
         all_ok = all_ok and result.ok()
 
     if args.target is not None:
-        try:
-            target = parse_constant_expr(args.target)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        target = parse_constant_expr(args.target)
         check = check_limit_against_target(spec, target, digits=args.digits, max_n=args.max_terms)
         report.say()
         report.say(f"limit versus target {target.describe()} at 10^-{args.digits}:")
@@ -232,62 +226,39 @@ def cmd_transform(args) -> RunReport:
     report = RunReport()
     report.say(spec_summary(spec))
     original = convergents(spec, args.terms)
-
+    report.say()
     if args.scale is not None:
-        scaling = _parse_expr_arg(args.scale, "--scale expression")
-        try:
-            scaled = apply_scaling_expr(spec, scaling)
-        except ScalingError as exc:
-            raise UsageError(str(exc)) from exc
-        rescaled = convergents(scaled, args.terms)
-        report.say()
+        scaled = apply_scaling_expr(spec, _parse_expr_arg(args.scale, "--scale expression"))
+        redone = convergents(scaled, args.terms)
         report.say("scaled formula:")
         for line in render_formula_text(scaled).rstrip().splitlines():
             report.say("  " + line)
         report.say()
-        header = "a_n b_n a'_n b'_n".split()
         report.say(
-            f"{'n':>4}  {header[0]:>12} {header[1]:>12}  {header[2]:>12} {header[3]:>12}  z equal"
+            "{:>4}  {:>12} {:>12}  {:>12} {:>12}  z equal".format("n", "a_n", "b_n", "a'_n", "b'_n")
         )
-        equal_through = args.terms
-        for n in range(1, args.terms + 1):
-            a, b = spec.term(n)
-            a2, b2 = scaled.term(n)
-            same = original[n].value == rescaled[n].value
-            if not same:
-                equal_through = min(equal_through, n - 1)
-            report.say(
-                f"{n:>4}  {str(a):>12} {str(b):>12}  {str(a2):>12} {str(b2):>12}  {str(same).lower()}"
-            )
-        report.record("status", "ok" if equal_through == args.terms else "mismatch")
-        report.record("mode", "scale")
-        report.record("scaled_name", scaled.name)
-        report.record("equal_through", equal_through)
-        if equal_through != args.terms:
-            report.exit_code = EXIT_VERIFICATION_FAILED
-        return report
+        columns = [
+            f"{str(a):>12} {str(b):>12}  {str(a2):>12} {str(b2):>12}"
+            for (a, b), (a2, b2) in zip(spec.terms(args.terms), scaled.terms(args.terms))
+        ]
+    else:  # --unitize: table-level rescaling to unit partial numerators
+        unit_terms, c_table = unitize_partial_numerators(spec.terms(args.terms))
+        redone = convergents_from_terms(spec.b0_value(), unit_terms)
+        report.say("{:>4}  {:>12}  {:>6} {:>12}  z equal".format("n", "c_n", "a'_n", "b'_n"))
+        columns = [
+            f"{str(c_n):>12}  {str(a2):>6} {str(b2):>12}" for c_n, (a2, b2) in zip(c_table, unit_terms)
+        ]
 
-    # --unitize: table-level rescaling to unit partial numerators
-    terms = spec.terms(args.terms)
-    try:
-        unit_terms, c_table = unitize_partial_numerators(terms)
-    except ScalingError as exc:
-        raise UsageError(str(exc)) from exc
-    redone = convergents_from_terms(spec.b0_value(), unit_terms)
-    report.say()
-    header = "c_n a'_n b'_n".split()
-    report.say(f"{'n':>4}  {header[0]:>12}  {header[1]:>6} {header[2]:>12}  z equal")
     equal_through = args.terms
-    for n in range(1, args.terms + 1):
-        a2, b2 = unit_terms[n - 1]
+    for n, text in enumerate(columns, start=1):
         same = original[n].value == redone[n].value
         if not same:
             equal_through = min(equal_through, n - 1)
-        report.say(
-            f"{n:>4}  {str(c_table[n - 1]):>12}  {str(a2):>6} {str(b2):>12}  {str(same).lower()}"
-        )
+        report.say(f"{n:>4}  {text}  {str(same).lower()}")
     report.record("status", "ok" if equal_through == args.terms else "mismatch")
-    report.record("mode", "unitize")
+    report.record("mode", "scale" if args.scale is not None else "unitize")
+    if args.scale is not None:
+        report.record("scaled_name", scaled.name)
     report.record("equal_through", equal_through)
     if equal_through != args.terms:
         report.exit_code = EXIT_VERIFICATION_FAILED
@@ -320,7 +291,7 @@ def cmd_recognize(args) -> RunReport:
             report.record("verdict", estimate.verdict.value)
             report.exit_code = EXIT_VERIFICATION_FAILED
             return report
-        assert estimate.value_exact is not None and estimate.error_bound is not None
+        assert estimate.error_bound is not None
         interval = Interval.around(estimate.value_exact, estimate.error_bound)
         report.say(spec_summary(spec))
         report.say(
@@ -348,16 +319,9 @@ def cmd_identify(args) -> RunReport:
     spec = _load_spec(args.formula)
     report = RunReport()
     side = Side(args.side)
-    rows = convergents(spec, args.terms - 1)
-    try:
-        sequence = extract_integer_sequence(rows, side)
-    except NonIntegerTermError as exc:
-        raise UsageError(str(exc)) from exc
+    sequence = extract_integer_sequence(convergents(spec, args.terms - 1), side)
     snapshot = ingest_stripped_file(args.snapshot) if args.snapshot else bundled_snapshot()
-    try:
-        matches = lookup_local(sequence, snapshot, max_shift=args.max_shift)
-    except QueryError as exc:
-        raise UsageError(str(exc)) from exc
+    matches = lookup_local(sequence, snapshot, max_shift=args.max_shift)
     url = online_query_string(sequence)
 
     report.say(spec_summary(spec))
@@ -656,7 +620,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             report = args.handler(args)
         except (
             UsageError, FormulaFileError, SpecValidationError, TermEvaluationError, SnapshotError,
-            ex.ParseError, ex.EvalError, QueryError, ValueError,
+            ex.ParseError, ex.EvalError, QueryError, ScalingError, NonIntegerTermError, ValueError,
         ) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

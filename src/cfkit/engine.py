@@ -170,7 +170,7 @@ class LimitEstimate:
 
     value: str
     digits: int
-    value_exact: Fraction | None
+    value_exact: Fraction
     value_is_exact: bool
     error_bound: Fraction | None
     n_used: int
@@ -253,11 +253,11 @@ def estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEs
     gaps: list[Fraction | None] = []
     zero_b_indices: list[int] = []
     prev_value: Fraction | None = None
-    last_defined: Fraction | None = None
+    last_defined = Fraction(spec.b0_value())  # z_0 = b0 is always defined
     last_index = 0
     consecutive = 0
 
-    for conv in fold_terms(spec.b0_value(), map(spec.term, range(1, max_n + 1))):
+    for conv in fold_terms(last_defined, map(spec.term, range(1, max_n + 1))):
         last_index = conv.n
         if conv.B == 0:
             zero_b_indices.append(conv.n)
@@ -296,10 +296,7 @@ def estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEs
         verdict = LimitVerdict.UNDEFINED_DENOMINATORS
 
     defined_gaps = [g for g in gaps if g is not None]
-    if last_defined is not None:
-        text, exact = decimal_string(last_defined, target_digits)
-    else:  # unreachable in practice: z_0 = b0 is always defined
-        text, exact = "", True
+    text, exact = decimal_string(last_defined, target_digits)
     return LimitEstimate(
         value=text,
         digits=target_digits,

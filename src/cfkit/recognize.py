@@ -245,6 +245,11 @@ def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # Parsing Möbius-of-e target strings ("e", "e + 1", "(2*e+1)/(e+3)", "8/3")
 
+#: Largest exponent k accepted in a target constant's `x^k`.  The power is
+#: expanded by k polynomial products, so without a limit `e^100000` or
+#: `2^100000000` hangs the parser instead of failing as bad input.
+MAX_TARGET_EXPONENT = 64
+
 
 def parse_constant_expr(text: str) -> ConstantExpr:
     """Read a target constant written in the DSL with the single variable e.
@@ -332,6 +337,8 @@ def _as_rational_function(tree: ex.Expr) -> tuple[list[Fraction], list[Fraction]
                 raise ValueError(f"target exponent must be constant: {exc}") from exc
             if exponent.denominator != 1 or exponent < 0:
                 raise ValueError("target exponents must be nonnegative integers")
+            if exponent > MAX_TARGET_EXPONENT:
+                raise ValueError(f"target exponent {exponent} exceeds {MAX_TARGET_EXPONENT}")
             n, d = one, one
             nb, db = _as_rational_function(b)
             for _ in range(int(exponent)):

@@ -16,15 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import expr as ex
-from .engine import FormulaSpec, TermPair
-
-#: Indices 1..SCALING_CHECK_WINDOW at which an expression scaling is
-#: validated to be nonzero before it is applied.
-SCALING_CHECK_WINDOW = 100
+from .engine import FormulaSpec, SpecValidationError, TermPair
 
 
 class ScalingError(Exception):
-    """The scaling sequence is unusable (zero entry or shape mismatch)."""
+    """The scaling sequence is unusable (zero or undefined entry, or shape mismatch)."""
 
 
 def substitute(e: ex.Expr, name: str, replacement: ex.Expr) -> ex.Expr:
@@ -44,51 +40,38 @@ def substitute(e: ex.Expr, name: str, replacement: ex.Expr) -> ex.Expr:
     return ex.rebuild(e, [substitute(kid, name, replacement) for kid in ex.children(e)])
 
 
-def _scaling_value(c_at: ex.Compiled, n: int) -> Fraction:
-    # c_0 = 1 by convention: the leading term b0 is never rescaled.
-    if n == 0:
-        return Fraction(1)
-    return c_at({"n": n})
-
-
 def apply_scaling_expr(spec: FormulaSpec, c: ex.Expr) -> FormulaSpec:
     """Scale a formula by an expression c(n); values z_n are preserved.
 
     The result's prefix covers indices 1..max(1, P): index 1 must be scaled
     with the conventional c_0 = 1 rather than with c evaluated at 0, so it is
     materialized as an exact pair.  Tail expressions become the literal
-    symbolic products c(n) * c(n-1) * a(n) and c(n) * b(n).
+    symbolic products c(n) * c(n-1) * a(n) and c(n) * b(n).  The scaled
+    formula's own validation is the check on c, at indices
+    1..max(1, P) + VALIDATION_WINDOW: a c that is zero, undefined or uses a
+    variable other than n there raises ScalingError naming c and the first
+    failing index.
     """
-    extra = ex.free_vars(c) - {"n"}
-    if extra:
-        raise ScalingError(f"scaling may only use the variable n, found {sorted(extra)}")
     c_at = ex.compile(c)
-    probe_hi = max(SCALING_CHECK_WINDOW, len(spec.prefix) + 1)
-    for n in range(1, probe_hi + 1):
-        try:
-            value = _scaling_value(c_at, n)
-        except ex.EvalError as exc:
-            raise ScalingError(f"scaling undefined at n = {n}: {exc}") from exc
-        if value == 0:
-            raise ScalingError(f"scaling evaluates to zero at n = {n}")
-
-    prefix_len = max(1, len(spec.prefix))
-    new_prefix = []
-    for i in range(1, prefix_len + 1):
-        a_i, b_i = spec.term(i)
-        new_prefix.append((_scaling_value(c_at, i) * _scaling_value(c_at, i - 1) * a_i,
-                           _scaling_value(c_at, i) * b_i))
-
-    c_shift = substitute(c, "n", ex.Sub(ex.Variable("n"), ex.Integer(1)))
-    a_tail = ex.Mul(ex.Mul(c, c_shift), spec.a_tail)
-    b_tail = ex.Mul(c, spec.b_tail)
-    return FormulaSpec(
-        name=f"{spec.name}_scaled",
-        b0=spec.b0,
-        a_tail=a_tail,
-        b_tail=b_tail,
-        prefix=tuple(new_prefix),
-    )
+    c_prev, new_prefix = Fraction(1), []  # c_0 = 1: the leading term b0 is never rescaled
+    try:
+        for n in range(1, max(1, len(spec.prefix)) + 1):
+            a_n, b_n = spec.term(n)
+            c_n = c_at({"n": n})
+            new_prefix.append((c_n * c_prev * a_n, c_n * b_n))
+            c_prev = c_n
+        c_shift = substitute(c, "n", ex.Sub(ex.Variable("n"), ex.Integer(1)))
+        return FormulaSpec(
+            name=f"{spec.name}_scaled",
+            b0=spec.b0,
+            a_tail=ex.Mul(ex.Mul(c, c_shift), spec.a_tail),
+            b_tail=ex.Mul(c, spec.b_tail),
+            prefix=tuple(new_prefix),
+        )
+    except ex.EvalError as exc:  # c itself, at a prefix index
+        raise ScalingError(f"scaling c(n) = {ex.render(c)}: evaluating c({n}): {exc}") from exc
+    except SpecValidationError as exc:
+        raise ScalingError(f"scaling c(n) = {ex.render(c)}: {exc}") from exc
 
 
 def apply_scaling_table(

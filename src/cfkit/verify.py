@@ -250,7 +250,7 @@ def check_limit_against_target(
             LimitCheckOutcome.INDETERMINATE, estimate, target, target_interval, None, tolerance
         )
 
-    assert estimate.value_exact is not None and estimate.error_bound is not None
+    assert estimate.error_bound is not None
     est_interval = Interval.around(estimate.value_exact, estimate.error_bound)
     worst = max(
         target_interval.upper - est_interval.lower,

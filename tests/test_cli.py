@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cfkit.recognize import MAX_COEFF_LIMIT
+from cfkit.recognize import MAX_COEFF_LIMIT, MAX_TARGET_EXPONENT
 
 BAD_FILE = 'name = "broken"\nb0 = "1"\nb = "1"\n'  # missing the "a" key
 
@@ -147,6 +147,13 @@ class TestVerify:
         result = run_cli("verify", "e_cf1t", "--target", "e*e")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("target", ["e^100000", "2^100000000"])
+    def test_huge_target_exponent_is_usage_error(self, target):
+        result = run_cli("verify", "e_cf2", "--target", target, timeout=10)
+        assert result.returncode == 2
+        exponent = target.split("^")[1]
+        assert result.stderr == f"error: target exponent {exponent} exceeds {MAX_TARGET_EXPONENT}\n"
+
 
 class TestTransform:
     def test_scale_preserves_values(self):
@@ -162,6 +169,12 @@ class TestTransform:
     def test_zero_scaling_is_usage_error(self):
         result = run_cli("transform", "e_cf1t", "--scale", "n - 2")
         assert result.returncode == 2
+
+    def test_scaling_failing_past_the_old_probe_is_usage_error(self):
+        result = run_cli("transform", "e_cf1t", "--scale", "1/(n - 101)")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: scaling c(n) = 1 / (n - 101): ")
+        assert "a(101)" in result.stderr
 
 
 class TestRecognize:
@@ -243,6 +256,27 @@ class TestSelftest:
         block = machine_block(result.stdout)
         assert block["checks_failed"] == "0"
         assert "[FAIL]" not in result.stdout
+
+    def test_a_failing_check_is_reported_and_exits_one(self, monkeypatch):
+        import io
+
+        from cfkit import cli
+
+        monkeypatch.setattr(cli, "vn_simplification_check", lambda n_max: False)
+        out = io.StringIO()
+        assert cli.main(["selftest"], out=out) == 1
+        lines = out.getvalue().splitlines()
+        expected = [
+            "[FAIL] value simplification forms: z_n differs from a summation form"
+            if label == "value simplification forms"
+            else f"[ok]   {label}"
+            for label, _run in cli._selftest_checks()
+        ]
+        assert len(expected) == 15
+        assert lines[:15] == expected
+        assert lines[15:18] == ["", "14 passed, 1 failed", "---"]
+        block = machine_block(out.getvalue())
+        assert block == {"status": "failed", "checks_passed": "14", "checks_failed": "1"}
 
 
 class TestMachineBlocks:

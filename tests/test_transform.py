@@ -93,6 +93,25 @@ class TestApplyScalingExpr:
         with pytest.raises(ScalingError, match="m"):
             apply_scaling_expr(cf1t, parse("m"))
 
+    @pytest.mark.parametrize(
+        "text, index",
+        [
+            # c vanishes or is undefined at the last index the scaled formula validates
+            ("n - 101", "zero at n = 101"),
+            ("1/(n - 101)", "a(101)"),
+            ("n - 1", "a_1"),  # the materialized prefix pair
+            ("1/(n - 3)", "a(3)"),
+            ("1/(n - 1)", "c(1)"),
+        ],
+    )
+    def test_failing_scaling_names_c_and_index(self, cf1t, text, index):
+        c = parse(text)
+        with pytest.raises(ScalingError) as caught:
+            apply_scaling_expr(cf1t, c)
+        message = str(caught.value)
+        assert f"c(n) = {ex.render(c)}" in message
+        assert index in message
+
 
 class TestApplyScalingTable:
     def test_paper_table_reaches_unit_denominators(self, cf1):

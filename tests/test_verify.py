@@ -1,5 +1,6 @@
 """Closed-form checking, the footnote identity, and limit-versus-target."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from cfkit import (
     parse_constant_expr,
     vn_simplification_check,
 )
+from cfkit.recognize import MAX_TARGET_EXPONENT
 
 PAPER_HYPOTHESES = [
     ("e_cf1t", Side.A, "n + 2", 0),
@@ -191,3 +193,14 @@ class TestTargetParsing:
     def test_rejects_other_variables(self):
         with pytest.raises(ValueError, match="pi"):
             parse_constant_expr("pi + 1")
+
+    def test_exponent_at_the_limit_is_accepted(self):
+        k = MAX_TARGET_EXPONENT
+        assert parse_constant_expr(f"2^{k} * e / 2^{k}") == ConstantExpr(1, 0, 0, 1)
+
+    @pytest.mark.parametrize("text", ["e^100000", "2^100000000", f"e^{MAX_TARGET_EXPONENT + 1}"])
+    def test_huge_exponent_is_rejected_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_constant_expr(text)
+        assert time.perf_counter() - start < 1.0
