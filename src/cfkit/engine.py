@@ -12,19 +12,35 @@ Numerators A_n and denominators B_n follow the second-order recurrence
 
 and are kept as raw recurrence values (each one an exact rational, but the
 A/B pair is never jointly rescaled), so closed-form checks can compare them
-literally.  The convergent value z_n = A_n/B_n is reduced separately and is
-absent when B_n = 0.
+literally.  The fold runs on integer state: with v the denominator of b0 and
+Q_n the product of the common denominators of (a_k, b_k) for k <= n,
+
+    A_n = PA_n / (v * Q_n)        B_n = PB_n / Q_n
+
+where PA_n and PB_n are integers following the same recurrence, so a step
+costs a few integer products and no gcd; A_n and B_n are built from that
+state, for free when v = Q_n = 1.  The convergent value z_n = A_n/B_n is
+reduced only on its first read, and is absent when B_n = 0.  estimate_limit
+never reduces it to test a gap: it uses the determinant identity
+
+    |z_n - z_{n-1}| = |a_1 * ... * a_n| / |B_n * B_{n-1}|
+
+and compares with its threshold by cross-multiplying integers.
 
 One evaluation is a sequential fold (each term needs its two predecessors);
-FormulaSpec and Convergent values are immutable, so independent fractions
-can be evaluated on separate threads freely.
+FormulaSpec values are immutable and a Convergent only ever caches its own
+value, so independent fractions can be evaluated on separate threads freely.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import tee
+from math import lcm
+from types import EllipsisType
 from typing import Iterable, Iterator, Sequence
 
 from .expr import Compiled, EvalError, Expr, free_vars, render
@@ -143,12 +159,25 @@ class FormulaSpec:
 
 @dataclass(frozen=True)
 class Convergent:
-    """Index n with raw recurrence values and the reduced value A_n/B_n."""
+    """Index n with raw recurrence values A_n, B_n and the value z_n = A_n/B_n.
+
+    `value` is z_n in lowest terms, None iff B_n = 0.  fold_terms leaves it
+    unread: it is reduced on its first read and kept, because the reduction
+    (a gcd of two numbers as large as A_n and B_n) costs far more than the
+    recurrence step, and most callers read z_n at a few indices only.  A
+    value passed as the fourth argument is kept as given.
+    """
 
     n: int
     A: Fraction
     B: Fraction
-    value: Fraction | None  # None iff B == 0
+    _value: Fraction | None | EllipsisType = field(default=..., repr=False, compare=False)
+
+    @property
+    def value(self) -> Fraction | None:
+        if self._value is ...:
+            object.__setattr__(self, "_value", self.A / self.B if self.B else None)
+        return self._value
 
 
 class LimitVerdict(str, Enum):
@@ -177,24 +206,37 @@ class LimitEstimate:
     verdict: LimitVerdict
 
 
+def _over(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator in lowest terms, with no gcd when the denominator is 1."""
+    return Fraction(numerator) if denominator == 1 else Fraction(numerator, denominator)
+
+
 def fold_terms(b0_value: Fraction, terms: Iterable[TermPair]) -> Iterator[Convergent]:
     """Run the fundamental recurrence over explicit term values.
 
     Yields the convergent of index 0 first, then one per consumed term.
     Raises SpecValidationError if a partial numerator is zero.
     """
-    a_prev2, a_prev = Fraction(1), Fraction(b0_value)  # A_{-1}, A_0
-    b_prev2, b_prev = Fraction(0), Fraction(1)  # B_{-1}, B_0
-    yield Convergent(0, a_prev, b_prev, a_prev / b_prev)
+    b0 = Fraction(b0_value)
+    v = b0.denominator
+    pa_prev2, pa_prev = v, b0.numerator  # v*A_{-1}, v*A_0
+    pb_prev2, pb_prev = 0, 1  # B_{-1}, B_0
+    q = delta_prev = 1  # Q_0 and its last factor
+    yield Convergent(0, b0, Fraction(1), b0)
     for n, (a, b) in enumerate(terms, start=1):
         if a == 0:
             raise SpecValidationError(f"partial numerator a_{n} is zero")
-        a_cur = b * a_prev + a * a_prev2
-        b_cur = b * b_prev + a * b_prev2
-        value = a_cur / b_cur if b_cur != 0 else None
-        yield Convergent(n, a_cur, b_cur, value)
-        a_prev2, a_prev = a_prev, a_cur
-        b_prev2, b_prev = b_prev, b_cur
+        # With a_n = alpha/delta and b_n = beta/delta over delta = lcm of their
+        # denominators, Q_n = delta * Q_{n-1} and Q_{n-1}/Q_{n-2} = delta_prev.
+        a_den, b_den = a.denominator, b.denominator
+        delta = lcm(a_den, b_den)
+        beta = b.numerator * (delta // b_den)
+        scale = a.numerator * (delta // a_den) * delta_prev
+        pa_prev2, pa_prev = pa_prev, beta * pa_prev + scale * pa_prev2
+        pb_prev2, pb_prev = pb_prev, beta * pb_prev + scale * pb_prev2
+        q *= delta
+        delta_prev = delta
+        yield Convergent(n, _over(pa_prev, v * q), _over(pb_prev, q))
 
 
 def convergents_from_terms(
@@ -243,66 +285,72 @@ def estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEs
     divergenceSuspected when the minimum gap over the last ten indices
     exceeds the minimum over the first ten, undefinedDenominators when some
     B_n = 0 occurred within the last five indices, else maxTermsReached.
+    Gaps come from the determinant identity and are compared without a gcd;
+    only the returned value and error bound are reduced.
     """
     if max_n < 3:
         raise ValueError("max_n must be >= 3")
     if target_digits < 1:
         raise ValueError("target_digits must be >= 1")
-    threshold = Fraction(1, 10 ** (target_digits + 2))
+    scale = 10 ** (target_digits + 2)
 
-    gaps: list[Fraction | None] = []
+    # A gap is an unreduced (numerator, denominator > 0) pair, None where
+    # z_n or z_{n-1} is undefined; it is below the threshold 10^-(digits + 2)
+    # iff numerator * scale < denominator.
+    head: list[tuple[int, int]] = []  # the defined gaps of n = 1..10
+    tail: deque[tuple[int, int] | None] = deque(maxlen=10)  # the last ten
+    last_gap: tuple[int, int] | None = None
     zero_b_indices: list[int] = []
-    prev_value: Fraction | None = None
-    last_defined = Fraction(spec.b0_value())  # z_0 = b0 is always defined
-    last_index = 0
+    product_num = product_den = 1  # |a_1 * ... * a_n|
     consecutive = 0
 
-    for conv in fold_terms(last_defined, map(spec.term, range(1, max_n + 1))):
+    fold_input, term_copies = tee(map(spec.term, range(1, max_n + 1)))
+    for conv in fold_terms(spec.b0_value(), fold_input):
         last_index = conv.n
         if conv.B == 0:
             zero_b_indices.append(conv.n)
-        if conv.value is not None:
-            last_defined = conv.value
+        else:
+            last_defined = conv  # z_0 = b0 is always defined
         if conv.n >= 1:
-            gap = (
-                abs(conv.value - prev_value)
-                if conv.value is not None and prev_value is not None
-                else None
-            )
-            gaps.append(gap)
-            if gap is not None and gap < threshold:
-                consecutive += 1
-            else:
-                consecutive = 0
-            if consecutive >= 3:
-                text, exact = decimal_string(conv.value, target_digits)
-                return LimitEstimate(
-                    value=text,
-                    digits=target_digits,
-                    value_exact=conv.value,
-                    value_is_exact=exact,
-                    error_bound=gap,
-                    n_used=conv.n,
-                    verdict=LimitVerdict.CONVERGED,
+            a_n = next(term_copies)[0]
+            product_num *= abs(a_n.numerator)
+            product_den *= a_n.denominator
+            gap = None
+            if conv.B != 0 and prev.B != 0:
+                gap = (
+                    product_num * conv.B.denominator * prev.B.denominator,
+                    product_den * abs(conv.B.numerator * prev.B.numerator),
                 )
-        prev_value = conv.value
+                last_gap = gap
+            if conv.n <= 10 and gap is not None:
+                head.append(gap)
+            tail.append(gap)
+            consecutive = consecutive + 1 if gap is not None and gap[0] * scale < gap[1] else 0
+            if consecutive >= 3:
+                break
+        prev = conv
 
-    verdict = LimitVerdict.MAX_TERMS_REACHED
-    head = [g for g in gaps[:10] if g is not None]
-    tail = [g for g in gaps[-10:] if g is not None]
-    if head and tail and min(tail) > min(head):
-        verdict = LimitVerdict.DIVERGENCE_SUSPECTED
-    elif any(i > last_index - 5 for i in zero_b_indices):
-        verdict = LimitVerdict.UNDEFINED_DENOMINATORS
+    if consecutive >= 3:
+        verdict = LimitVerdict.CONVERGED
+    else:
+        verdict = LimitVerdict.MAX_TERMS_REACHED
+        tail_gaps = [g for g in tail if g is not None]
+        # min(tail) > min(head): every tail gap exceeds some head gap.
+        if head and tail_gaps and all(
+            any(h[0] * t[1] < t[0] * h[1] for h in head) for t in tail_gaps
+        ):
+            verdict = LimitVerdict.DIVERGENCE_SUSPECTED
+        elif any(i > last_index - 5 for i in zero_b_indices):
+            verdict = LimitVerdict.UNDEFINED_DENOMINATORS
 
-    defined_gaps = [g for g in gaps if g is not None]
-    text, exact = decimal_string(last_defined, target_digits)
+    value = last_defined.value
+    text, exact = decimal_string(value, target_digits)
     return LimitEstimate(
         value=text,
         digits=target_digits,
-        value_exact=last_defined,
+        value_exact=value,
         value_is_exact=exact,
-        error_bound=defined_gaps[-1] if defined_gaps else None,
+        error_bound=Fraction(*last_gap) if last_gap is not None else None,
         n_used=last_index,
         verdict=verdict,
     )

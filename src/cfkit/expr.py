@@ -300,6 +300,12 @@ def parse(text: str) -> Expr:
 # order (a division's denominator first, a power's exponent first, a
 # binomial's top first), so the first failing one decides the EvalError.
 
+#: Most terms one `sum(var, lo, hi, body)` may add up.  Every sum is added
+#: term by term, so without a limit `sum(k, 0, 10^12, 0)` hangs evaluation
+#: instead of failing as bad input; a closed-form check through n_max needs
+#: spans of about n_max.
+MAX_SUM_SPAN = 100_000
+
 Compiled = Callable[[Mapping[str, Rational] | None], Fraction]
 _Closure = Callable[[dict[str, Rational]], Rational]
 
@@ -421,6 +427,9 @@ def _compile(expr: Expr) -> _Closure:
             def bounded_sum(env):
                 lower = _as_integer(lower_of(env), "sum lower bound")
                 upper = _as_integer(upper_of(env), "sum upper bound")
+                span = upper - lower + 1
+                if span > MAX_SUM_SPAN:
+                    raise EvalError(f"sum span {span} exceeds {MAX_SUM_SPAN}")
                 # Integer terms go into `whole`; rational ones into one
                 # unreduced numer/denom pair over the lcm of their
                 # denominators, reduced once at the end.

@@ -250,6 +250,12 @@ def _simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 #: `2^100000000` hangs the parser instead of failing as bad input.
 MAX_TARGET_EXPONENT = 64
 
+#: Largest polynomial degree in e that reading a target constant may reach.
+#: Nested or repeated powers such as `(e^64)^64` stay within the exponent
+#: limit but multiply degrees, and each product costs the product of the
+#: lengths; past this degree the target cannot reduce to a Mobius form.
+MAX_TARGET_DEGREE = 64
+
 
 def parse_constant_expr(text: str) -> ConstantExpr:
     """Read a target constant written in the DSL with the single variable e.
@@ -279,7 +285,10 @@ def parse_constant_expr(text: str) -> ConstantExpr:
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    degree = len(a) + len(b) - 2
+    if degree > MAX_TARGET_DEGREE:
+        raise ValueError(f"target polynomial degree {degree} exceeds {MAX_TARGET_DEGREE}")
+    out = [Fraction(0)] * (degree + 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y

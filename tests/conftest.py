@@ -13,6 +13,8 @@ import pytest
 
 from cfkit import ConstantExpr, FormulaSpec, Interval
 from cfkit import expr as ex
+from cfkit.engine import Convergent, LimitEstimate, LimitVerdict, SpecValidationError
+from cfkit.numeric import decimal_string
 
 # The module, not the function the package re-exports under the same name:
 # the oracle reads e_high_precision from it at call time, as recognize does.
@@ -197,6 +199,94 @@ def _oracle_quotients(max_coeff: int, e_int: Interval) -> list[tuple[tuple[int, 
         for p, q, numerator in numerators:
             quotients.append(((p, q, r, s), numerator / denominator))
     return quotients
+
+
+def oracle_fold_terms(b0_value, terms):
+    """The Fraction-state fold `engine.fold_terms` replaced, kept as its oracle.
+
+    A_n and B_n are Fractions and z_n is reduced at every step.
+    """
+    a_prev2, a_prev = Fraction(1), Fraction(b0_value)  # A_{-1}, A_0
+    b_prev2, b_prev = Fraction(0), Fraction(1)  # B_{-1}, B_0
+    yield Convergent(0, a_prev, b_prev, a_prev / b_prev)
+    for n, (a, b) in enumerate(terms, start=1):
+        if a == 0:
+            raise SpecValidationError(f"partial numerator a_{n} is zero")
+        a_cur = b * a_prev + a * a_prev2
+        b_cur = b * b_prev + a * b_prev2
+        value = a_cur / b_cur if b_cur != 0 else None
+        yield Convergent(n, a_cur, b_cur, value)
+        a_prev2, a_prev = a_prev, a_cur
+        b_prev2, b_prev = b_prev, b_cur
+
+
+def oracle_estimate_limit(spec: FormulaSpec, max_n: int, target_digits: int) -> LimitEstimate:
+    """The `engine.estimate_limit` that reduced every z_n, kept as its oracle.
+
+    Each gap is |z_n - z_{n-1}| of the reduced values, compared as a Fraction.
+    """
+    if max_n < 3:
+        raise ValueError("max_n must be >= 3")
+    if target_digits < 1:
+        raise ValueError("target_digits must be >= 1")
+    threshold = Fraction(1, 10 ** (target_digits + 2))
+
+    gaps: list[Fraction | None] = []
+    zero_b_indices: list[int] = []
+    prev_value: Fraction | None = None
+    last_defined = Fraction(spec.b0_value())  # z_0 = b0 is always defined
+    last_index = 0
+    consecutive = 0
+
+    for conv in oracle_fold_terms(last_defined, map(spec.term, range(1, max_n + 1))):
+        last_index = conv.n
+        if conv.B == 0:
+            zero_b_indices.append(conv.n)
+        if conv.value is not None:
+            last_defined = conv.value
+        if conv.n >= 1:
+            gap = (
+                abs(conv.value - prev_value)
+                if conv.value is not None and prev_value is not None
+                else None
+            )
+            gaps.append(gap)
+            if gap is not None and gap < threshold:
+                consecutive += 1
+            else:
+                consecutive = 0
+            if consecutive >= 3:
+                text, exact = decimal_string(conv.value, target_digits)
+                return LimitEstimate(
+                    value=text,
+                    digits=target_digits,
+                    value_exact=conv.value,
+                    value_is_exact=exact,
+                    error_bound=gap,
+                    n_used=conv.n,
+                    verdict=LimitVerdict.CONVERGED,
+                )
+        prev_value = conv.value
+
+    verdict = LimitVerdict.MAX_TERMS_REACHED
+    head = [g for g in gaps[:10] if g is not None]
+    tail = [g for g in gaps[-10:] if g is not None]
+    if head and tail and min(tail) > min(head):
+        verdict = LimitVerdict.DIVERGENCE_SUSPECTED
+    elif any(i > last_index - 5 for i in zero_b_indices):
+        verdict = LimitVerdict.UNDEFINED_DENOMINATORS
+
+    defined_gaps = [g for g in gaps if g is not None]
+    text, exact = decimal_string(last_defined, target_digits)
+    return LimitEstimate(
+        value=text,
+        digits=target_digits,
+        value_exact=last_defined,
+        value_is_exact=exact,
+        error_bound=defined_gaps[-1] if defined_gaps else None,
+        n_used=last_index,
+        verdict=verdict,
+    )
 
 
 def _nonzero_fraction(rng: random.Random, lo: int = 1, hi: int = 3) -> Fraction:

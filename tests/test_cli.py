@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from cfkit.expr import MAX_SUM_SPAN
 from cfkit.recognize import MAX_COEFF_LIMIT, MAX_TARGET_EXPONENT
 
 BAD_FILE = 'name = "broken"\nb0 = "1"\nb = "1"\n'  # missing the "a" key
@@ -61,6 +62,15 @@ class TestEval:
         result = run_cli("eval", str(path))
         assert result.returncode == 2
         assert "'x'" in result.stderr and "n = 3" in result.stderr
+
+    def test_huge_sum_span_is_usage_error(self, tmp_path):
+        path = tmp_path / "hostile.cf"
+        path.write_text('name = "hostile"\nb0 = "1"\na = "1"\nb = "sum(k, 0, 10^12, 0) + 1"\n')
+        start = time.perf_counter()
+        result = run_cli("eval", str(path), timeout=10)
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 2
+        assert f"sum span {10**12 + 1} exceeds {MAX_SUM_SPAN}" in result.stderr
 
     def test_unknown_file_is_usage_error(self):
         result = run_cli("eval", "no_such_file.cf")

@@ -1,12 +1,14 @@
 """Convergent recurrence, nested-evaluation oracle, and limit estimation."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from cfkit import (
     ClosedFormHypothesis,
+    Convergent,
     FormulaSpec,
     LimitVerdict,
     Side,
@@ -21,7 +23,8 @@ from cfkit import (
     nested_eval_oracle,
     parse,
 )
-from conftest import gen_mixed_spec, gen_positive_spec
+from cfkit.expr import Div, Integer
+from conftest import gen_mixed_spec, gen_positive_spec, oracle_estimate_limit, oracle_fold_terms
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +249,69 @@ class TestEstimateLimit:
             estimate_limit(cf2, 2, 10)
         with pytest.raises(ValueError):
             estimate_limit(cf2, 10, 0)
+
+
+@pytest.fixture(scope="module")
+def corpus() -> list[FormulaSpec]:
+    """300 seeded random specs (every fifth with b0 = k/3), plus B_n = 0, gaps at the threshold and zeta(3)."""
+    rng = random.Random(6)
+    specs = []
+    for i in range(300):
+        spec = gen_positive_spec(rng) if i % 2 else gen_mixed_spec(rng)
+        if i % 5 == 0:
+            spec = FormulaSpec(spec.name, Div(spec.b0, Integer(3)), spec.a_tail, spec.b_tail, spec.prefix)
+        specs.append(spec)
+    specs.append(FormulaSpec("osc", parse("1"), parse("1"), parse("0")))  # B_n = 0 at odd n
+    # z_n = n / 10^8: every gap equals the threshold at digits = 6, which is not below it.
+    specs.append(FormulaSpec(
+        "edge", parse("0"), parse("-1"), parse("2"), prefix=((F(1), F(10**8)), (F(-(10**8)), F(2)))
+    ))
+    specs.append(FormulaSpec(
+        "zeta3", parse("0"), parse("-(n-1)^3/n^3"), parse("1 + (n-1)^3/n^3"), prefix=((F(1), F(1)),)
+    ))
+    return specs
+
+
+class TestIntegerStateFold:
+    """The integer-state fold and gap test against the Fraction-state oracles."""
+
+    def test_rows_equal_the_fraction_fold(self, corpus, cf1, cf1t, cf2):
+        cases = [(spec, 60) for spec in corpus] + [(spec, 300) for spec in (cf1, cf1t, cf2)]
+        for spec, depth in cases:
+            rows = convergents(spec, depth)
+            expected = oracle_fold_terms(spec.b0_value(), spec.terms(depth))
+            for row, ref in zip(rows, expected, strict=True):
+                assert (row.n, row.A, row.B, row.value) == (ref.n, ref.A, ref.B, ref.value), spec.name
+                assert type(row.A) is F and type(row.B) is F
+
+    @pytest.mark.parametrize("max_n, digits", [(40, 6), (400, 12), (1000, 6)])
+    def test_estimates_equal_the_oracle(self, corpus, max_n, digits):
+        verdicts = set()
+        for spec in corpus:
+            estimate = estimate_limit(spec, max_n, digits)
+            assert estimate == oracle_estimate_limit(spec, max_n, digits), spec.name
+            verdicts.add(estimate.verdict)
+        assert verdicts == set(LimitVerdict)
+
+    def test_fold_reduces_no_value_until_one_is_read(self, cf2, monkeypatch):
+        calls = []
+        divide = F.__truediv__
+
+        def counting_divide(self, other):
+            calls.append((self, other))
+            return divide(self, other)
+
+        monkeypatch.setattr(F, "__truediv__", counting_divide)
+        rows = convergents(cf2, 500)
+        assert calls == []
+        first = rows[250].value
+        assert rows[250].value is first
+        assert calls == [(rows[250].A, rows[250].B)]
+
+    def test_a_given_value_is_kept(self):
+        row = Convergent(3, F(1), F(2), F(5))
+        assert row.value == F(5)
+        assert Convergent(3, F(1), F(0)).value is None
 
 
 class TestFixtureFiles:

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,16 @@ class TestEvaluate:
 
     def test_empty_sum(self):
         assert ex.evaluate(ex.parse("sum(i, 5, 4, i)"), {}) == 0
+
+    def test_sum_at_the_span_limit_is_evaluated(self):
+        assert ex.evaluate(ex.parse(f"sum(i, 1, {ex.MAX_SUM_SPAN}, 1)"), {}) == ex.MAX_SUM_SPAN
+
+    def test_sum_past_the_span_limit_is_rejected_at_once(self):
+        span = ex.MAX_SUM_SPAN + 1
+        start = time.perf_counter()
+        with pytest.raises(ex.EvalError, match=f"sum span {span} exceeds {ex.MAX_SUM_SPAN}"):
+            ex.evaluate(ex.parse(f"sum(k, n, n + {span - 1}, k)"), {"n": -7})
+        assert time.perf_counter() - start < 1.0
 
     def test_division_by_zero(self):
         with pytest.raises(ex.EvalError, match="division by zero"):

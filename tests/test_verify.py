@@ -20,7 +20,7 @@ from cfkit import (
     parse_constant_expr,
     vn_simplification_check,
 )
-from cfkit.recognize import MAX_TARGET_EXPONENT
+from cfkit.recognize import MAX_TARGET_DEGREE, MAX_TARGET_EXPONENT
 
 PAPER_HYPOTHESES = [
     ("e_cf1t", Side.A, "n + 2", 0),
@@ -204,3 +204,16 @@ class TestTargetParsing:
         with pytest.raises(ValueError, match="exceeds"):
             parse_constant_expr(text)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", ["(e^64)^64", "((e + 1)^64)^64", "e^64 * e^64", "(e^33)^2 / e^65"])
+    def test_huge_degree_is_rejected_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"polynomial degree \d+ exceeds {MAX_TARGET_DEGREE}"):
+            parse_constant_expr(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_degree_at_the_limit_is_accepted(self):
+        k = MAX_TARGET_DEGREE
+        assert parse_constant_expr(f"e^{k} - e^{k} + e") == ConstantExpr(1, 0, 0, 1)
+        with pytest.raises(ValueError, match=f"degree {k + 1} exceeds {k}"):
+            parse_constant_expr(f"e^{k} * e - e^{k} * e + e")
